@@ -12,6 +12,7 @@
 #include <unordered_map>
 
 #include "analysis/diagnostics.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/sync.hh"
 
@@ -322,18 +323,6 @@ findCycles(const std::vector<LockNode> &nodes,
 }
 
 void
-appendJsonString(std::ostringstream &os, const std::string &text)
-{
-    os << '"';
-    for (char c : text) {
-        if (c == '"' || c == '\\')
-            os << '\\';
-        os << c;
-    }
-    os << '"';
-}
-
-void
 appendJsonStrings(std::ostringstream &os,
                   const std::vector<std::string> &items)
 {
@@ -341,7 +330,7 @@ appendJsonStrings(std::ostringstream &os,
     for (u64 i = 0; i < items.size(); i++) {
         if (i)
             os << ",";
-        appendJsonString(os, items[i]);
+        os << '"' << jsonEscape(items[i]) << '"';
     }
     os << "]";
 }
@@ -423,19 +412,16 @@ LockOrderReport::toJson() const
     for (u64 i = 0; i < nodes.size(); i++) {
         if (i)
             os << ",";
-        os << "{\"name\":";
-        appendJsonString(os, nodes[i].name);
-        os << ",\"rank\":" << nodes[i].rank << "}";
+        os << "{\"name\":\"" << jsonEscape(nodes[i].name)
+           << "\",\"rank\":" << nodes[i].rank << "}";
     }
     os << "],\"edges\":[";
     for (u64 i = 0; i < edges.size(); i++) {
         if (i)
             os << ",";
-        os << "{\"from\":";
-        appendJsonString(os, edges[i].from);
-        os << ",\"to\":";
-        appendJsonString(os, edges[i].to);
-        os << ",\"count\":" << edges[i].count << ",\"witness\":";
+        os << "{\"from\":\"" << jsonEscape(edges[i].from)
+           << "\",\"to\":\"" << jsonEscape(edges[i].to)
+           << "\",\"count\":" << edges[i].count << ",\"witness\":";
         appendJsonStrings(os, edges[i].witness);
         os << "}";
     }
@@ -443,11 +429,9 @@ LockOrderReport::toJson() const
     for (u64 i = 0; i < violations.size(); i++) {
         if (i)
             os << ",";
-        os << "{\"kind\":";
-        appendJsonString(os, violations[i].kind);
-        os << ",\"message\":";
-        appendJsonString(os, violations[i].message);
-        os << ",\"classes\":";
+        os << "{\"kind\":\"" << jsonEscape(violations[i].kind)
+           << "\",\"message\":\"" << jsonEscape(violations[i].message)
+           << "\",\"classes\":";
         appendJsonStrings(os, violations[i].classes);
         os << ",\"witnesses\":[";
         for (u64 w = 0; w < violations[i].witnesses.size(); w++) {

@@ -193,11 +193,12 @@ CsrFile::readCsr(u32 addr)
         return mcycleValue;
     if (addr == csr::minstret || addr == csr::instret)
         return minstretValue;
-    if (addr >= csr::mhpmcounter3 &&
-        addr < csr::mhpmcounter3 + csr::numHpm)
-        return hpmValue(addr - csr::mhpmcounter3);
-    if (addr >= csr::hpmcounter3 && addr < csr::hpmcounter3 + csr::numHpm)
-        return hpmValue(addr - csr::hpmcounter3);
+    for (const u32 base : {csr::mhpmcounter3, csr::hpmcounter3}) {
+        if (addr >= base && addr < base + csr::numHpm) {
+            hpmRead = true;
+            return hpmValue(addr - base);
+        }
+    }
     if (addr >= csr::mhpmevent3 && addr < csr::mhpmevent3 + csr::numHpm)
         return hpms[addr - csr::mhpmevent3].selector;
     if (addr == csr::mcountinhibit)

@@ -139,6 +139,14 @@ class CsrFile : public CsrBackend
      * the increment logic in hardware, so the count is suspect.
      */
     bool hpmArmedWrite(u32 index) const;
+    /**
+     * Sticky: in-band software has read a programmable counter
+     * (mhpmcounter3..31 / hpmcounter3..31). Those reads are the only
+     * architecture-dependent values that can reach the executor, so
+     * while this is false the run's timing is the same under every
+     * counter architecture.
+     */
+    bool hpmReadInBand() const { return hpmRead; }
 
     u64 cycles() const { return mcycleValue; }
     u64 instsRetired() const { return minstretValue; }
@@ -202,6 +210,7 @@ class CsrFile : public CsrBackend
     u64 inhibitMask = ~0ull; ///< counters start inhibited (§IV-D step 4)
     /** Bit i set iff hpms[i] has a non-empty decoded source list. */
     u32 configuredMask = 0;
+    bool hpmRead = false;
     std::array<Hpm, csr::numHpm> hpms;
 };
 

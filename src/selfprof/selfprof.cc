@@ -273,15 +273,26 @@ struct Parser
                   case 'r': out += '\r'; break;
                   case 'b': out += '\b'; break;
                   case 'f': out += '\f'; break;
-                  case 'u':
-                    // Enough for this format: keep the escape as-is.
-                    if (pos + 4 > text.size())
+                  case 'u': {
+                    const std::string hex = text.substr(pos, 4);
+                    if (hex.size() < 4 ||
+                        hex.find_first_not_of("0123456789abcdefABCDEF") !=
+                            std::string::npos)
                         return fail("bad \\u escape");
-                    out += "\\u" + text.substr(pos, 4);
+                    // ASCII code points decode; others are kept
+                    // as-is, which is enough for these reports.
+                    const unsigned long code = std::stoul(hex, nullptr, 16);
+                    if (code < 0x80)
+                        out += static_cast<char>(code);
+                    else
+                        out += "\\u" + hex;
                     pos += 4;
                     break;
+                  }
                   default: return fail("bad escape");
                 }
+            } else if (static_cast<unsigned char>(c) < 0x20) {
+                return fail("raw control character in string");
             } else {
                 out += c;
             }

@@ -4,6 +4,7 @@
 #include <sstream>
 #include <thread>
 
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "common/sync.hh"
@@ -384,17 +385,9 @@ ChaosVerdict::toJson() const
        << "  \"server_worker_restarts\": " << serverWorkerRestarts
        << ",\n"
        << "  \"failures\": [";
-    for (size_t i = 0; i < failures.size(); i++) {
-        // The failure strings contain no quotes or backslashes by
-        // construction except what() text; escape minimally.
-        std::string escaped;
-        for (char c : failures[i]) {
-            if (c == '"' || c == '\\')
-                escaped += '\\';
-            escaped += c == '\n' ? ' ' : c;
-        }
-        os << (i ? ", " : "") << "\"" << escaped << "\"";
-    }
+    for (size_t i = 0; i < failures.size(); i++)
+        os << (i ? ", " : "") << "\"" << jsonEscape(failures[i])
+           << "\"";
     os << "],\n"
        << "  \"pass\": " << (pass() ? "true" : "false") << "\n"
        << "}\n";

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "common/crc32.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "core/session.hh"
 #include "fault/fault.hh"
@@ -135,27 +136,6 @@ readExact(std::ifstream &in, u64 offset, void *dst, u64 len)
     return ok;
 }
 
-void
-jsonEscapeTo(std::ostringstream &os, const std::string &text)
-{
-    for (const char c : text) {
-        switch (c) {
-          case '"': os << "\\\""; break;
-          case '\\': os << "\\\\"; break;
-          case '\n': os << "\\n"; break;
-          case '\t': os << "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char hex[8];
-                std::snprintf(hex, sizeof(hex), "\\u%04x", c);
-                os << hex;
-            } else {
-                os << c;
-            }
-        }
-    }
-}
-
 /** Merge-union of sorted absolute intervals (start, end pairs). */
 std::vector<std::pair<u64, u64>>
 mergeIntervals(std::vector<std::pair<u64, u64>> spans)
@@ -211,9 +191,8 @@ std::string
 StoreDamage::toJson(const std::string &path) const
 {
     std::ostringstream os;
-    os << "{\n  \"file\": \"";
-    jsonEscapeTo(os, path);
-    os << "\",\n  \"salvaged\": " << (salvaged ? "true" : "false")
+    os << "{\n  \"file\": \"" << jsonEscape(path)
+       << "\",\n  \"salvaged\": " << (salvaged ? "true" : "false")
        << ",\n  \"clean\": " << (clean() ? "true" : "false")
        << ",\n  \"index_valid\": " << (indexValid ? "true" : "false")
        << ",\n  \"recovered_blocks\": " << recoveredBlocks
@@ -787,8 +766,14 @@ StoreReader::decodeBlock(u32 block_index) const
     // threads. Callers receive a shared_ptr, so a block one thread
     // is still iterating survives another thread's eviction.
     LockGuard lock(ioMutex);
-    if (cache && cache->valid && cache->blockIndex == block_index)
-        return cache;
+    for (auto it = cache.begin(); it != cache.end(); ++it) {
+        if ((*it)->blockIndex != block_index)
+            continue;
+        std::rotate(cache.begin(), it, it + 1);
+        return cache.front();
+    }
+    if (cache.size() == kDecodeCacheBlocks)
+        cache.pop_back();
 
     const BlockMeta &block = blocks[block_index];
     if (block.damaged)
@@ -846,8 +831,7 @@ StoreReader::decodeBlock(u32 block_index) const
                        f, " has trailing bytes");
     }
     decoded->blockIndex = block_index;
-    decoded->valid = true;
-    cache = decoded;
+    cache.insert(cache.begin(), decoded);
     decodedBlocks.fetch_add(1, std::memory_order_relaxed);
     return decoded;
 }
@@ -938,15 +922,21 @@ StoreReader::countInWindow(EventId event, u64 begin, u64 end) const
     if (begin >= end)
         return 0;
     requireIntact(begin, end, "StoreReader::countInWindow");
-    std::vector<u32> fields;
-    for (u32 f = 0; f < traceSpec.numFields(); f++) {
-        if (traceSpec.fields[f].event == event)
-            fields.push_back(f);
-    }
-    if (fields.empty())
+    const u64 mask = traceSpec.fieldMask(event);
+    if (mask == 0)
         return 0;
-
     u64 total = 0;
+    for (u64 n : fieldCountsInWindow(begin, end, mask))
+        total += n;
+    return total;
+}
+
+std::vector<u64>
+StoreReader::fieldCountsInWindow(u64 begin, u64 end,
+                                 u64 field_mask) const
+{
+    const u32 num_fields = traceSpec.numFields();
+    std::vector<u64> counts(num_fields, 0);
     for (u32 b = blockOf(begin); b <= blockOf(end - 1); b++) {
         const BlockMeta &block = blocks[b];
         const u64 block_end = block.startCycle + block.numCycles;
@@ -956,33 +946,27 @@ StoreReader::countInWindow(EventId event, u64 begin, u64 end) const
             lo == block.startCycle && hi == block_end;
         // Fully covered blocks are served from footer popcounts;
         // boundary blocks whose fields are all-zero or saturated
-        // short-circuit too. Only the rest decode.
-        bool decode = false;
-        for (u32 f : fields) {
+        // short-circuit too. Only the rest decode, once.
+        std::shared_ptr<const DecodedBlock> decoded;
+        for (u32 f = 0; f < num_fields; f++) {
+            if (!(field_mask >> f & 1))
+                continue;
             const FieldMeta &fm = block.fields[f];
-            if (covered || fm.popcount == 0) {
-                total += covered ? fm.popcount : 0;
+            if (covered) {
+                counts[f] += fm.popcount;
             } else if (fm.popcount == block.numCycles) {
-                total += hi - lo;
-            } else {
-                decode = true;
-            }
-        }
-        if (decode) {
-            const auto decoded = decodeBlock(b);
-            for (u32 f : fields) {
-                const FieldMeta &fm = block.fields[f];
-                if (fm.popcount == 0 ||
-                    fm.popcount == block.numCycles)
-                    continue;
-                total += countPlaneInRange(
+                counts[f] += hi - lo;
+            } else if (fm.popcount != 0) {
+                if (!decoded)
+                    decoded = decodeBlock(b);
+                counts[f] += countPlaneInRange(
                     decoded->planes[f],
                     static_cast<u32>(lo - block.startCycle),
                     static_cast<u32>(hi - block.startCycle));
             }
         }
     }
-    return total;
+    return counts;
 }
 
 TmaResult
@@ -1001,10 +985,27 @@ StoreReader::windowTma(u64 begin, u64 end,
                            "StoreReader::windowTma");
     requireIntact(begin, end, "StoreReader::windowTma");
 
+    static constexpr EventId kEvents[] = {
+        EventId::UopsRetired,      EventId::InstRetired,
+        EventId::UopsIssued,       EventId::InstIssued,
+        EventId::FetchBubbles,     EventId::Recovering,
+        EventId::BranchMispredict, EventId::Flush,
+        EventId::FenceRetired,     EventId::ICacheBlocked,
+        EventId::DCacheBlocked};
+    u64 mask = 0;
+    for (EventId event : kEvents)
+        mask |= traceSpec.fieldMask(event);
+    const std::vector<u64> fields =
+        fieldCountsInWindow(begin, end, mask);
+
     TmaCounters counters;
     counters.cycles = end - begin;
     auto count_in = [&](EventId event) {
-        return countInWindow(event, begin, end);
+        const u64 event_mask = traceSpec.fieldMask(event);
+        u64 total = 0;
+        for (u32 f = 0; f < fields.size(); f++)
+            total += event_mask >> f & 1 ? fields[f] : 0;
+        return total;
     };
     counters.retiredUops = count_in(EventId::UopsRetired) +
                            count_in(EventId::InstRetired);

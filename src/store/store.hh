@@ -240,11 +240,15 @@ struct StoreDamage
  * StoreErrorKind::DamagedWindow — consult damage() for the mask.
  *
  * Const queries are safe to call from multiple threads on one
- * reader: the file handle and the single-block decode cache are the
- * only mutable state, and both sit behind an internal mutex (the
- * cache hands out shared_ptrs, so an entry a thread is still reading
- * survives eviction by another). icicled serves concurrent windowed
- * TMA queries over one open reader per store on this guarantee.
+ * reader: the file handle and the small decode cache (the
+ * kDecodeCacheBlocks most recently used blocks) are the only mutable
+ * state, and both sit behind an internal mutex (the cache hands out
+ * shared_ptrs, so an entry a thread is still reading survives
+ * eviction by another). icicled serves concurrent windowed TMA
+ * queries over one open reader per store on this guarantee; the
+ * cache holds two blocks, so the boundary blocks of a window, or of
+ * two clients' windows on either side of one block boundary, do not
+ * evict each other.
  */
 class StoreReader
 {
@@ -352,9 +356,16 @@ class StoreReader
     struct DecodedBlock
     {
         u32 blockIndex = 0;
-        bool valid = false;
         std::vector<std::vector<SetInterval>> planes;
     };
+
+    /**
+     * Decoded blocks the reader keeps, most recently used first: the
+     * two boundary blocks of a window. A miss evicts before it
+     * decodes, so a sequential scan holds at most this many decoded
+     * blocks at once.
+     */
+    static constexpr size_t kDecodeCacheBlocks = 2;
 
     // The open path runs inside the constructor, before the reader
     // can be shared: it reads `in` without ioMutex on purpose, which
@@ -376,6 +387,13 @@ class StoreReader
     decodeBlock(u32 block_index) const;
     u64 countPlaneInRange(const std::vector<SetInterval> &plane,
                           u32 lo, u32 hi) const;
+    /**
+     * Per-field set-cycle counts over [begin, end) (in range, intact)
+     * for the fields in `field_mask`, in one pass over the blocks:
+     * each boundary block decodes at most once per call.
+     */
+    std::vector<u64> fieldCountsInWindow(u64 begin, u64 end,
+                                         u64 field_mask) const;
     /** Block index containing the cycle (binary search). */
     u32 blockOf(u64 cycle) const;
 
@@ -393,7 +411,7 @@ class StoreReader
     u64 fileSize = 0;
     std::vector<BlockMeta> blocks;
     StoreDamage damageInfo;
-    mutable std::shared_ptr<const DecodedBlock> cache
+    mutable std::vector<std::shared_ptr<const DecodedBlock>> cache
         ICICLE_GUARDED_BY(ioMutex);
     mutable std::atomic<u64> decodedBlocks{0};
 };

@@ -1,5 +1,6 @@
 #include "sweep/sweep.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -7,6 +8,7 @@
 #include <thread>
 
 #include "boom/boom.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/sync.hh"
 #include "core/session.hh"
@@ -125,16 +127,18 @@ namespace
 {
 
 SweepJob
-jobForPoint(const SweepPoint &point)
+jobForPoint(const SweepPoint &point,
+            const std::function<Program(const std::string &)> &programFor)
 {
     SweepJob job;
     job.label = sweepPointLabel(point);
     job.maxCycles = point.maxCycles;
     job.withTrace = point.withTrace;
     job.point = point;
-    job.make = [point] {
+    job.make = [point, programFor] {
         return makeSweepCore(point.core, point.counterArch,
-                             buildWorkload(point.workload));
+                             programFor ? programFor(point.workload)
+                                        : buildWorkload(point.workload));
     };
     return job;
 }
@@ -144,13 +148,20 @@ jobForPoint(const SweepPoint &point)
 using Clock = std::chrono::steady_clock;
 
 /**
- * One attempt: build, run in chunks against the deadline, analyze.
- * Throws FatalError upward; the retry loop in runJob() handles it.
+ * One attempt for `members` (indices into `jobs` that differ only in
+ * counter architecture): build members[0]'s core, run it in chunks
+ * against the deadline, analyze, and fan the result out to every
+ * member. If the program read an HPM counter its timing may depend on
+ * the architecture, so the result covers members[0] only. Throws
+ * FatalError upward; the retry loop in runJob() handles it.
  */
-SweepResult
-runAttempt(const SweepJob &job, const SweepOptions &options,
-           u64 index)
+std::vector<SweepResult>
+runAttempt(const std::vector<SweepJob> &jobs,
+           const std::vector<u64> &members, const SweepOptions &options,
+           FaultPlan::JobDecision decision)
 {
+    const u64 index = members[0];
+    const SweepJob &job = jobs[index];
     SweepResult result;
     const Clock::time_point start = Clock::now();
     const bool bounded = options.timeoutSec > 0;
@@ -162,7 +173,6 @@ runAttempt(const SweepJob &job, const SweepOptions &options,
     // Fault hooks, keyed on the grid index so they are reproducible
     // at any worker count: an injected failure exercises the retry
     // path, an injected hang exercises the timeout path.
-    const FaultPlan::JobDecision decision = faultPlan().onJob(index);
     if (decision.fail)
         fatal("sweep job '", job.label,
               "': injected fault (fail@job#", index, ")");
@@ -225,62 +235,121 @@ runAttempt(const SweepJob &job, const SweepOptions &options,
         result.overlapFraction =
             analyzer.overlapUpperBound(core->coreWidth())
                 .overlapFraction;
-        if (!options.traceOutDir.empty()) {
-            if (timed_out) {
-                // Timed-out traces are wall-clock dependent; writing
-                // them would break the byte-identical guarantee
-                // across workers. The skip is recorded, not silent.
-                result.traceSkipped =
-                    "timeout: partial trace not stored";
-            } else {
-                const std::string path =
-                    sweepTracePath(options.traceOutDir, job.label);
-                trace->toStore(path);
-                const auto slash = path.find_last_of('/');
-                result.traceStore = slash == std::string::npos
-                                        ? path
-                                        : path.substr(slash + 1);
-            }
-        }
     }
     result.status =
         timed_out ? SweepStatus::Timeout : SweepStatus::Ok;
     if (timed_out)
         result.error = "exceeded per-job timeout";
-    result.wallMs =
+
+    const u64 fanout =
+        core->csrFile().hpmReadInBand() ? 1 : members.size();
+    std::vector<SweepResult> results(fanout, result);
+    for (u64 m = 0; m < fanout; m++) {
+        results[m].index = members[m];
+        if (!trace || options.traceOutDir.empty())
+            continue;
+        if (timed_out) {
+            // Timed-out traces are wall-clock dependent; writing them
+            // would break the byte-identical guarantee across
+            // workers. The skip is recorded, not silent.
+            results[m].traceSkipped = "timeout: partial trace not stored";
+            continue;
+        }
+        const std::string path =
+            sweepTracePath(options.traceOutDir, jobs[members[m]].label);
+        trace->toStore(path);
+        const auto slash = path.find_last_of('/');
+        results[m].traceStore =
+            slash == std::string::npos ? path : path.substr(slash + 1);
+    }
+    const double wall_ms =
         std::chrono::duration<double, std::milli>(Clock::now() - start)
             .count();
-    return result;
+    for (SweepResult &row : results)
+        row.wallMs = wall_ms / static_cast<double>(fanout);
+    return results;
 }
 
-/** Attempt/retry loop: never throws. */
-SweepResult
-runJob(const SweepJob &job, const SweepOptions &options, u64 index)
+/**
+ * Attempt/retry loop: never throws. Attempt 1 uses `first`, the fault
+ * decision already drawn for members[0]. Returns a prefix of
+ * `members`' results (all of them unless the HPM-read guard fired).
+ */
+std::vector<SweepResult>
+runJob(const std::vector<SweepJob> &jobs,
+       const std::vector<u64> &members, const SweepOptions &options,
+       FaultPlan::JobDecision first)
 {
     const u32 max_attempts = std::max(1u, options.maxAttempts);
-    SweepResult result;
+    std::string error;
     for (u32 attempt = 1; attempt <= max_attempts; attempt++) {
         try {
-            result = runAttempt(job, options, index);
-            result.attempts = attempt;
-            return result;
+            std::vector<SweepResult> results = runAttempt(
+                jobs, members, options,
+                attempt == 1 ? first : faultPlan().onJob(members[0]));
+            for (SweepResult &result : results)
+                result.attempts = attempt;
+            return results;
         } catch (const std::exception &err) {
-            result = SweepResult{};
-            result.status = SweepStatus::Failed;
-            result.attempts = attempt;
-            result.error = err.what();
+            error = err.what();
         }
     }
-    return result;
+    std::vector<SweepResult> results(members.size());
+    for (u64 m = 0; m < members.size(); m++) {
+        results[m].index = members[m];
+        results[m].status = SweepStatus::Failed;
+        results[m].attempts = max_attempts;
+        results[m].error = error;
+    }
+    return results;
 }
 
-} // namespace
+/**
+ * Run the unrestored jobs of one unit (jobs [begin, end), which
+ * differ only in counter architecture) and return their results in
+ * index order. A job with an injected fault runs alone; the rest
+ * share one simulation, and any the HPM-read guard leaves out go
+ * round again with the next of them as lead.
+ */
+std::vector<SweepResult>
+runUnit(const std::vector<SweepJob> &jobs, u64 begin, u64 end,
+        const std::vector<bool> &restored, const SweepOptions &options)
+{
+    std::vector<SweepResult> results;
+    std::vector<u64> shared;
+    for (u64 i = begin; i < end; i++) {
+        if (restored[i])
+            continue;
+        const FaultPlan::JobDecision decision = faultPlan().onJob(i);
+        if (decision.fail || decision.hang) {
+            results.push_back(
+                std::move(runJob(jobs, {i}, options, decision)[0]));
+        } else {
+            shared.push_back(i);
+        }
+    }
+    while (!shared.empty()) {
+        std::vector<SweepResult> part = runJob(jobs, shared, options, {});
+        shared.erase(shared.begin(), shared.begin() + part.size());
+        for (SweepResult &result : part)
+            results.push_back(std::move(result));
+    }
+    std::sort(results.begin(), results.end(),
+              [](const SweepResult &a, const SweepResult &b) {
+                  return a.index < b.index;
+              });
+    return results;
+}
 
 // ------------------------------------------------------------ engine
 
+/**
+ * Run `jobs` as units: unit u is jobs [starts[u], starts[u + 1]),
+ * the last one ending at jobs.size(). Results come back in job order.
+ */
 std::vector<SweepResult>
-runSweepJobs(const std::vector<SweepJob> &jobs,
-             const SweepOptions &options)
+runUnits(const std::vector<SweepJob> &jobs, const std::vector<u64> &starts,
+         const SweepOptions &options)
 {
     const u64 num_jobs = jobs.size();
     std::vector<SweepResult> results(num_jobs);
@@ -322,37 +391,40 @@ runSweepJobs(const std::vector<SweepJob> &jobs,
         }
     }
 
+    const u64 num_units = starts.size();
     std::atomic<u64> cursor{0};
     Mutex callback_mutex("sweep.callback", lockrank::kSweepCallback);
 
     auto work = [&] {
         for (;;) {
-            const u64 index =
+            const u64 unit =
                 cursor.fetch_add(1, std::memory_order_relaxed);
-            if (index >= num_jobs)
+            if (unit >= num_units)
                 return;
-            if (restored[index])
-                continue;
-            SweepResult result = runJob(jobs[index], options, index);
-            result.index = index;
-            result.label = jobs[index].label;
-            result.point = jobs[index].point;
-            // Distinct slots: no lock needed for the store itself.
-            results[index] = std::move(result);
-            if (journal.isOpen() || options.onResult) {
-                LockGuard lock(callback_mutex);
-                // Journal first: a record implies the row (and its
-                // trace store, already renamed into place) is
-                // durable before the user sees it reported.
-                journal.append(results[index]);
-                if (options.onResult)
-                    options.onResult(results[index]);
+            const u64 end =
+                unit + 1 < num_units ? starts[unit + 1] : num_jobs;
+            for (SweepResult &result :
+                 runUnit(jobs, starts[unit], end, restored, options)) {
+                const u64 index = result.index;
+                result.label = jobs[index].label;
+                result.point = jobs[index].point;
+                // Distinct slots: no lock needed for the store itself.
+                results[index] = std::move(result);
+                if (journal.isOpen() || options.onResult) {
+                    LockGuard lock(callback_mutex);
+                    // Journal first: a record implies the row (and
+                    // its trace store, already renamed into place) is
+                    // durable before the user sees it reported.
+                    journal.append(results[index]);
+                    if (options.onResult)
+                        options.onResult(results[index]);
+                }
             }
         }
     };
 
     const u32 workers = static_cast<u32>(std::min<u64>(
-        std::max(1u, options.workers), num_jobs));
+        std::max(1u, options.workers), num_units));
     if (workers <= 1) {
         work();
     } else {
@@ -366,13 +438,39 @@ runSweepJobs(const std::vector<SweepJob> &jobs,
     return results;
 }
 
+} // namespace
+
 std::vector<SweepResult>
-runSweep(const GridSpec &grid, const SweepOptions &options)
+runSweepJobs(const std::vector<SweepJob> &jobs,
+             const SweepOptions &options)
 {
+    // Caller-built factories are opaque: one job per unit.
+    std::vector<u64> starts(jobs.size());
+    for (u64 i = 0; i < starts.size(); i++)
+        starts[i] = i;
+    return runUnits(jobs, starts, options);
+}
+
+std::vector<SweepResult>
+runSweep(const GridSpec &grid, const SweepOptions &options,
+         const std::function<Program(const std::string &)> &programFor)
+{
+    // Points that differ only in counterArch (adjacent: archs are the
+    // innermost axis; budget and trace flag are grid-wide) form one
+    // unit. The architecture observes the event bus and never changes
+    // timing, so the unit simulates once (see runAttempt for the
+    // guard).
     std::vector<SweepJob> jobs;
-    for (const SweepPoint &point : grid.expand())
-        jobs.push_back(jobForPoint(point));
-    return runSweepJobs(jobs, options);
+    std::vector<u64> starts;
+    for (const SweepPoint &point : grid.expand()) {
+        const SweepPoint *prev =
+            jobs.empty() ? nullptr : &jobs.back().point;
+        if (!prev || prev->core != point.core ||
+            prev->workload != point.workload)
+            starts.push_back(jobs.size());
+        jobs.push_back(jobForPoint(point, programFor));
+    }
+    return runUnits(jobs, starts, options);
 }
 
 // ----------------------------------------------------- serialization
@@ -404,22 +502,6 @@ csvEscape(const std::string &text)
         escaped += c;
     }
     escaped += '"';
-    return escaped;
-}
-
-std::string
-jsonEscape(const std::string &text)
-{
-    std::string escaped;
-    for (char c : text) {
-        if (c == '"' || c == '\\')
-            escaped += '\\';
-        if (c == '\n') {
-            escaped += "\\n";
-            continue;
-        }
-        escaped += c;
-    }
     return escaped;
 }
 

@@ -9,22 +9,31 @@
  * runs them on N worker threads, and aggregates results
  * deterministically.
  *
- * Threading model: each job owns its core, program, and (optional)
- * trace — no mutable state is shared between jobs. Workers pull job
- * indices from a single atomic cursor and write each finished
- * SweepResult into a pre-sized slot vector at the job's grid index,
- * so the aggregated output is in grid order and byte-identical
- * regardless of worker count or completion order (the simulators
+ * Units of work: runSweep() groups the expanded points that differ
+ * only in counter architecture into one unit and simulates it once.
+ * The architecture only observes the event bus, so one run yields
+ * every member's row. The exception is software that reads an HPM
+ * counter (CsrFile::hpmReadInBand()): then each member runs alone.
+ * runSweepJobs() runs each caller-built job as its own unit.
+ *
+ * Threading model: each unit owns its core, program, and (optional)
+ * trace — no mutable state is shared between units. Workers pull
+ * unit indices from a single atomic cursor and write each finished
+ * SweepResult into a pre-sized slot vector at its grid index, so the
+ * aggregated output is in grid order and byte-identical regardless
+ * of worker count, completion order or grouping (the simulators
  * themselves are deterministic).
  *
- * Job lifecycle: claim -> build (SweepJob::make) -> run in
- * chunkCycles slices, checking the wall-clock deadline between
- * slices (cooperative per-job timeout; a pathological config cannot
- * hang the campaign) -> analyze -> store. A job that throws
- * FatalError is retried up to SweepOptions::maxAttempts times before
- * being recorded as Failed; the campaign always runs to completion
- * and failures are visible in the result rows rather than aborting
- * the sweep.
+ * Job lifecycle: claim a unit -> draw each member's fault decision (a
+ * member with an injected fault runs alone) -> build (the lead's
+ * SweepJob::make) -> run in chunkCycles slices, checking the
+ * wall-clock deadline between slices (cooperative per-job timeout; a
+ * pathological config cannot hang the campaign) -> analyze -> fan
+ * out one result per member -> journal and report each. A unit that
+ * throws FatalError is retried up to SweepOptions::maxAttempts times
+ * before its members are recorded as Failed; the campaign always
+ * runs to completion and failures are visible in the result rows
+ * rather than aborting the sweep.
  */
 
 #ifndef ICICLE_SWEEP_SWEEP_HH
@@ -121,7 +130,11 @@ struct SweepResult
     u64 recoverySequences = 0;
     /** Trace-derived: Table VI overlap fraction. */
     double overlapFraction = 0;
-    /** Wall-clock job time (excluded from deterministic output). */
+    /**
+     * Wall-clock job time (excluded from deterministic output). A
+     * grouped run's time is split evenly over the rows it produced,
+     * so the rows' sum is still the workers' busy time.
+     */
     double wallMs = 0;
     /** Failure message for Failed / Timeout rows. */
     std::string error;
@@ -197,9 +210,15 @@ std::string sweepPointLabel(const SweepPoint &point);
 std::vector<SweepResult> runSweepJobs(const std::vector<SweepJob> &jobs,
                                       const SweepOptions &options = {});
 
-/** Expand a grid and run it. Results come back in grid order. */
-std::vector<SweepResult> runSweep(const GridSpec &grid,
-                                  const SweepOptions &options = {});
+/**
+ * Expand a grid and run it. Results come back in grid order.
+ * `programFor` maps a workload name to its program; when empty, the
+ * workload registry (buildWorkload) does.
+ */
+std::vector<SweepResult>
+runSweep(const GridSpec &grid, const SweepOptions &options = {},
+         const std::function<Program(const std::string &)> &programFor =
+             {});
 
 // ---- named-config / axis-value helpers ------------------------------
 

@@ -65,14 +65,20 @@ allWorkloads()
     return registry;
 }
 
-Program
-buildWorkload(const std::string &name)
+const WorkloadInfo &
+findWorkload(const std::string &name)
 {
     for (const WorkloadInfo &info : allWorkloads()) {
         if (info.name == name)
-            return info.build();
+            return info;
     }
     fatal("unknown workload: ", name);
+}
+
+Program
+buildWorkload(const std::string &name)
+{
+    return findWorkload(name).build();
 }
 
 std::vector<std::string>

@@ -46,6 +46,12 @@ struct WorkloadInfo
 /** All registered workloads. */
 const std::vector<WorkloadInfo> &allWorkloads();
 
+/**
+ * Registry entry for a workload name, without building it (cheap name
+ * validation); fatal() if unknown.
+ */
+const WorkloadInfo &findWorkload(const std::string &name);
+
 /** Build a workload by name; fatal() if unknown. */
 Program buildWorkload(const std::string &name);
 

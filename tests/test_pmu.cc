@@ -289,6 +289,27 @@ TEST(CsrFile, FourStepProtocolCounts)
     EXPECT_EQ(csrs.hpmValue(0), 2u);
 }
 
+TEST(CsrFile, InBandHpmReadIsStickyAndOnlyForHpmCounters)
+{
+    EventBus bus;
+    CsrFile csrs(CoreKind::Rocket, CounterArch::Scalar, &bus);
+    csrs.programEvent(0, EventId::BranchMispredict);
+    // Architecture-independent CSRs and host-side reads leave it off.
+    for (u32 addr : {csr::mcycle, csr::cycle, csr::minstret,
+                     csr::instret, csr::mcountinhibit, csr::mhpmevent3})
+        csrs.readCsr(addr);
+    csrs.hpmValue(0);
+    EXPECT_FALSE(csrs.hpmReadInBand());
+    csrs.readCsr(csr::hpmcounter3 + 28);
+    EXPECT_TRUE(csrs.hpmReadInBand());
+    csrs.clearCounters();
+    EXPECT_TRUE(csrs.hpmReadInBand());
+
+    CsrFile machine(CoreKind::Rocket, CounterArch::Scalar, &bus);
+    machine.readCsr(csr::mhpmcounter3);
+    EXPECT_TRUE(machine.hpmReadInBand());
+}
+
 TEST(CsrFile, LegacyOrSemantics)
 {
     // Fig. 1: two events on the same (scalar) counter asserting in

@@ -412,6 +412,55 @@ TEST(StoreReader, MatchesInMemoryAnalyzerOverRandomizedSeeds)
     }
 }
 
+TEST(StoreReader, WindowTmaDecodesEachBoundaryBlockOnce)
+{
+    ScratchFile file("straddle");
+    const Trace trace = randomBurstyTrace(21, 8 * 1024);
+    trace.toStore(file.path(), 1024);
+    StoreReader reader(file.path());
+    TraceAnalyzer analyzer(trace);
+    // Every TMA event needs both boundary blocks; each decodes once
+    // per query, not once per event.
+    const u64 begin = 1024 * 2 + 300, end = 1024 * 5 + 700;
+    expectTmaEqual(reader.windowTma(begin, end, 2),
+                   analyzer.windowTma(begin, end, 2));
+    const u64 decoded = reader.blocksDecoded();
+    EXPECT_LE(decoded, 2u);
+    // Windows on either side of the boundary alternate without
+    // evicting each other's block from the decode cache.
+    for (int i = 0; i < 4; i++) {
+        expectTmaEqual(reader.windowTma(begin, begin + 50, 1),
+                       analyzer.windowTma(begin, begin + 50, 1));
+        expectTmaEqual(reader.windowTma(end - 50, end, 1),
+                       analyzer.windowTma(end - 50, end, 1));
+    }
+    EXPECT_EQ(reader.blocksDecoded(), decoded);
+}
+
+TEST(StoreReader, WindowCountsMatchEveryCycleOnEveryField)
+{
+    ScratchFile file("counts");
+    const Trace trace = randomBurstyTrace(23, 6 * 1024 + 77);
+    trace.toStore(file.path(), 512);
+    StoreReader reader(file.path());
+    Rng rng(5);
+    for (int i = 0; i < 200; i++) {
+        const u64 begin = rng.below(trace.numCycles() - 1);
+        const u64 end =
+            begin + 1 + rng.below(trace.numCycles() - begin);
+        for (const TraceField &field : trace.spec().fields) {
+            const u64 mask = trace.spec().fieldMask(field.event);
+            u64 expected = 0;
+            for (u64 c = begin; c < end; c++)
+                expected += static_cast<u64>(
+                    std::popcount(trace.raw()[c] & mask));
+            ASSERT_EQ(reader.countInWindow(field.event, begin, end),
+                      expected)
+                << "[" << begin << ", " << end << ")";
+        }
+    }
+}
+
 TEST(StoreReader, MatchesAnalyzerOnRealBoomTrace)
 {
     ScratchFile file("boom_real");

@@ -2,8 +2,9 @@
  * @file
  * Sweep-engine tests: grid expansion order, deterministic aggregation
  * across worker counts (the byte-identical guarantee), retry and
- * timeout handling, custom-job campaigns, and the named-config /
- * axis-value helpers.
+ * timeout handling, custom-job campaigns, the named-config /
+ * axis-value helpers, and the counter-architecture grouping (one
+ * simulation per (core, workload) must match per-point runs).
  */
 
 #include <atomic>
@@ -602,6 +603,281 @@ TEST(SweepEngine, UnknownWorkloadBecomesFailedRow)
     EXPECT_EQ(results[0].status, SweepStatus::Failed);
     EXPECT_NE(results[0].error.find("no-such-workload"),
               std::string::npos);
+}
+
+// ---- one simulation per (core, workload) -----------------------------
+
+using ProgramFor = std::function<Program(const std::string &)>;
+
+/**
+ * The grid as per-point jobs: one simulation per point, the engine
+ * runSweep used before it grouped the counter-architecture axis.
+ */
+std::vector<SweepJob>
+perPointJobs(const GridSpec &grid, const ProgramFor &program_for = {})
+{
+    std::vector<SweepJob> jobs;
+    for (const SweepPoint &point : grid.expand()) {
+        SweepJob job;
+        job.label = sweepPointLabel(point);
+        job.maxCycles = point.maxCycles;
+        job.withTrace = point.withTrace;
+        job.point = point;
+        job.make = [point, program_for] {
+            return makeSweepCore(point.core, point.counterArch,
+                                 program_for
+                                     ? program_for(point.workload)
+                                     : buildWorkload(point.workload));
+        };
+        jobs.push_back(std::move(job));
+    }
+    return jobs;
+}
+
+void
+expectSameReports(const std::vector<SweepResult> &grouped,
+                  const std::vector<SweepResult> &per_point)
+{
+    EXPECT_EQ(formatSweepCsv(grouped), formatSweepCsv(per_point));
+    EXPECT_EQ(formatSweepJson(grouped), formatSweepJson(per_point));
+    EXPECT_EQ(formatSweepTable(grouped), formatSweepTable(per_point));
+}
+
+const std::vector<CounterArch> kAllArchs = {
+    CounterArch::Scalar, CounterArch::AddWires, CounterArch::Distributed};
+
+GridSpec
+archGrid()
+{
+    GridSpec grid;
+    grid.cores = {"rocket", "boom-small", "boom-large"};
+    grid.workloads = {"towers", "icache-stress"};
+    grid.counterArchs = kAllArchs;
+    grid.maxCycles = 300'000;
+    return grid;
+}
+
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+}
+
+std::string
+tempPath(const std::string &name)
+{
+    return (std::filesystem::temp_directory_path() / name).string();
+}
+
+TEST(SweepGrouping, MatchesPerPointAtOneAndFourWorkers)
+{
+    const GridSpec grid = archGrid();
+    for (u32 workers : {1u, 4u}) {
+        SCOPED_TRACE(workers);
+        SweepOptions options;
+        options.workers = workers;
+        u32 callbacks = 0;
+        options.onResult = [&](const SweepResult &) { callbacks++; };
+        const std::vector<SweepResult> grouped = runSweep(grid, options);
+        EXPECT_EQ(callbacks, grouped.size());
+        expectSameReports(grouped,
+                          runSweepJobs(perPointJobs(grid), options));
+        // One simulation per group: its wall time is split evenly,
+        // so every member carries the same share.
+        ASSERT_EQ(grouped.size(), 18u);
+        for (u64 i = 0; i < grouped.size(); i++)
+            EXPECT_EQ(grouped[i].wallMs, grouped[i - i % 3].wallMs);
+    }
+}
+
+TEST(SweepGrouping, TraceOutStoresMatchPerPoint)
+{
+    GridSpec grid;
+    grid.cores = {"rocket", "boom-small"};
+    grid.workloads = {"towers"};
+    grid.counterArchs = kAllArchs;
+    grid.maxCycles = 300'000;
+    grid.withTrace = true;
+
+    const std::string grouped_dir = tempPath("icicle_group_stores");
+    const std::string point_dir = tempPath("icicle_point_stores");
+    for (const std::string &dir : {grouped_dir, point_dir}) {
+        std::filesystem::remove_all(dir);
+        std::filesystem::create_directories(dir);
+    }
+    SweepOptions options;
+    options.workers = 2;
+    options.traceOutDir = grouped_dir;
+    const std::vector<SweepResult> grouped = runSweep(grid, options);
+    options.traceOutDir = point_dir;
+    expectSameReports(grouped, runSweepJobs(perPointJobs(grid), options));
+    for (const SweepResult &row : grouped) {
+        SCOPED_TRACE(row.label);
+        ASSERT_EQ(row.traceStore,
+                  sweepTracePath("", row.label).substr(1));
+        const std::string bytes =
+            slurp(sweepTracePath(grouped_dir, row.label));
+        EXPECT_FALSE(bytes.empty());
+        EXPECT_EQ(bytes, slurp(sweepTracePath(point_dir, row.label)));
+    }
+    std::filesystem::remove_all(grouped_dir);
+    std::filesystem::remove_all(point_dir);
+}
+
+TEST(SweepGrouping, JournalAndResumeMatchPerPoint)
+{
+    const GridSpec grid = archGrid();
+    const std::vector<SweepResult> golden = runSweep(grid);
+    const std::string grouped_path = tempPath("icicle_group.jnl");
+    const std::string point_path = tempPath("icicle_point.jnl");
+    std::remove(grouped_path.c_str());
+    std::remove(point_path.c_str());
+
+    // A clean journal holds the same records, byte for byte.
+    SweepOptions options;
+    options.journalPath = grouped_path;
+    runSweep(grid, options);
+    options.journalPath = point_path;
+    runSweepJobs(perPointJobs(grid), options);
+    EXPECT_EQ(slurp(grouped_path), slurp(point_path));
+
+    // Resuming a finished journal restores every row and re-runs
+    // nothing.
+    SweepOptions resume;
+    resume.journalPath = grouped_path;
+    resume.resume = true;
+    u32 reported = 0;
+    resume.onResult = [&](const SweepResult &) { reported++; };
+    expectSameReports(runSweep(grid, resume), golden);
+    EXPECT_EQ(reported, golden.size());
+
+    // A per-point journal with a failed row resumes under grouping:
+    // only that row re-runs, inside a partly restored group.
+    std::remove(point_path.c_str());
+    setFaultSpec("fail@job#4=2");
+    options.maxAttempts = 2;
+    const std::vector<SweepResult> first =
+        runSweepJobs(perPointJobs(grid), options);
+    setFaultSpec("");
+    ASSERT_EQ(first[4].status, SweepStatus::Failed);
+    resume.journalPath = point_path;
+    u32 reran = 0;
+    resume.onResult = [&](const SweepResult &r) {
+        if (r.index == 4)
+            reran++;
+    };
+    expectSameReports(runSweep(grid, resume), golden);
+    EXPECT_EQ(reran, 1u);
+    std::remove(grouped_path.c_str());
+    std::remove(point_path.c_str());
+}
+
+TEST(SweepGrouping, InjectedFaultsHitOnlyTheirRow)
+{
+    GridSpec grid;
+    grid.cores = {"rocket"};
+    grid.workloads = {"towers", "icache-stress"};
+    grid.counterArchs = kAllArchs;
+    grid.maxCycles = 300'000;
+    const std::vector<SweepJob> jobs = perPointJobs(grid);
+
+    auto both = [&](const std::string &spec,
+                    const SweepOptions &options) {
+        setFaultSpec(spec);
+        std::vector<SweepResult> grouped = runSweep(grid, options);
+        setFaultSpec(spec);
+        const std::vector<SweepResult> per_point =
+            runSweepJobs(jobs, options);
+        setFaultSpec("");
+        expectSameReports(grouped, per_point);
+        return grouped;
+    };
+
+    SweepOptions options;
+    options.maxAttempts = 2;
+    std::vector<SweepResult> rows = both("fail@job#2=2", options);
+    for (const SweepResult &row : rows) {
+        SCOPED_TRACE(row.label);
+        const bool hit = row.index == 2;
+        EXPECT_EQ(row.status,
+                  hit ? SweepStatus::Failed : SweepStatus::Ok);
+        EXPECT_EQ(row.attempts, hit ? 2u : 1u);
+    }
+    options.maxAttempts = 3;
+    rows = both("fail@job#2=2", options);
+    EXPECT_EQ(rows[2].status, SweepStatus::Ok);
+    EXPECT_EQ(rows[2].attempts, 3u);
+
+    options.maxAttempts = 1;
+    options.timeoutSec = 0.5;
+    rows = both("hang@job#4", options);
+    for (const SweepResult &row : rows) {
+        SCOPED_TRACE(row.label);
+        EXPECT_EQ(row.status, row.index == 4 ? SweepStatus::Timeout
+                                             : SweepStatus::Ok);
+    }
+}
+
+/**
+ * Software that programs mhpmevent3 for the multi-lane BOOM
+ * uops-retired event, counts a loop, and exits with hpmcounter3: its
+ * exit code depends on the counter architecture.
+ */
+Program
+readsHpmCounter(const std::string &)
+{
+    const EventInfo info = eventInfo(CoreKind::Boom, EventId::UopsRetired);
+    const int bit = maskBitOf(CoreKind::Boom, EventId::UopsRetired);
+    ProgramBuilder b("hpm-read");
+    b.li(t0, static_cast<i64>(csr::selector(info.set, 1ull << bit)));
+    b.csrrw(zero, csr::mhpmevent3, t0);
+    b.csrrwi(zero, csr::mcountinhibit, 0);
+    b.li(t2, 200);
+    Label loop = b.newLabel();
+    b.bind(loop);
+    b.addi(t3, t3, 1);
+    b.addi(t4, t4, 1);
+    b.addi(t5, t5, 1);
+    b.addi(t2, t2, -1);
+    b.bnez(t2, loop);
+    b.csrrs(a0, csr::hpmcounter3, zero);
+    b.halt();
+    return b.build();
+}
+
+TEST(SweepGrouping, HpmCounterReadFallsBackToPerPoint)
+{
+    GridSpec grid;
+    grid.cores = sweepCoreNames();
+    grid.workloads = {"hpm-read"};
+    grid.counterArchs = kAllArchs;
+    grid.maxCycles = 100'000;
+    SweepOptions options;
+    options.workers = 2;
+    const std::vector<SweepResult> grouped =
+        runSweep(grid, options, readsHpmCounter);
+    expectSameReports(
+        grouped,
+        runSweepJobs(perPointJobs(grid, readsHpmCounter), options));
+
+    // Had the group shared one simulation, every arch row would
+    // carry the lead's counter value.
+    ASSERT_EQ(grouped.size(), 3 * sweepCoreNames().size());
+    bool some_boom_differs = false;
+    for (u64 i = 0; i < grouped.size(); i += 3) {
+        SCOPED_TRACE(grouped[i].label);
+        for (u64 m = i; m < i + 3; m++) {
+            EXPECT_EQ(grouped[m].status, SweepStatus::Ok);
+            EXPECT_TRUE(grouped[m].finished);
+        }
+        if (grouped[i].point.core != "rocket")
+            some_boom_differs |=
+                grouped[i].exitCode != grouped[i + 1].exitCode ||
+                grouped[i + 1].exitCode != grouped[i + 2].exitCode;
+    }
+    EXPECT_TRUE(some_boom_differs);
 }
 
 } // namespace

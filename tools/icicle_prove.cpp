@@ -36,6 +36,7 @@
 #include "analysis/constraints.hh"
 #include "analysis/sarif.hh"
 #include "common/argparse.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "pmu/mutants.hh"
 #include "prove/prove.hh"
@@ -140,30 +141,6 @@ parseArgs(int argc, char **argv, int first)
     return args;
 }
 
-/** Quote + escape a string for embedding in JSON output. */
-std::string
-jsonQuote(const std::string &text)
-{
-    std::string out = "\"";
-    for (char c : text) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    out += '"';
-    return out;
-}
 
 CounterArch
 parseArch(const std::string &name)
@@ -459,8 +436,8 @@ cmdMutants(const Args &args)
                         result.expectedRuleHit ? "true" : "false",
                         static_cast<unsigned long long>(
                             result.findings));
-            std::printf("%s}",
-                        jsonQuote(result.firstFinding).c_str());
+            std::printf("\"%s\"}",
+                        jsonEscape(result.firstFinding).c_str());
             first = false;
         }
         std::printf("]}\n");

@@ -26,6 +26,7 @@
  * 2 usage error.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -313,11 +314,15 @@ main(int argc, char **argv)
 
         // Validate axis values up front: a typo should be a usage
         // error before any simulation starts, not N failed rows.
-        for (const std::string &core : grid.cores)
-            makeSweepCore(core, CounterArch::AddWires,
-                          buildWorkload(grid.workloads[0]));
+        const std::vector<std::string> known = sweepCoreNames();
+        for (const std::string &core : grid.cores) {
+            if (std::find(known.begin(), known.end(), core) ==
+                known.end())
+                fatal("unknown core config '", core,
+                      "' (try icicle-sweep --list)");
+        }
         for (const std::string &workload : grid.workloads)
-            buildWorkload(workload);
+            findWorkload(workload);
 
         if (progress) {
             options.onResult = [](const SweepResult &r) {

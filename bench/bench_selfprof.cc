@@ -15,7 +15,8 @@
  *       drops more than T (default 0.20) below the baseline.
  *
  * All three modes live in this one binary so CI needs no Python or
- * jq: the executable schema in src/selfprof/ is the contract.
+ * jq: bench/BENCH_selfprof.schema.json, compiled into the library,
+ * is the contract.
  */
 
 #include <chrono>
@@ -137,35 +138,14 @@ renderReport(const std::vector<LaneResult> &lanes, double spin_rate,
 }
 
 bool
-loadReport(const std::string &path, JsonValue &out)
-{
-    std::ifstream in(path);
-    if (!in) {
-        std::fprintf(stderr, "selfprof: cannot open %s\n",
-                     path.c_str());
-        return false;
-    }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    std::string error;
-    out = parseJson(buffer.str(), &error);
-    if (out.kind == JsonValue::Kind::Null && !error.empty()) {
-        std::fprintf(stderr, "selfprof: %s: parse error: %s\n",
-                     path.c_str(), error.c_str());
-        return false;
-    }
-    return true;
-}
-
-bool
 loadAndValidate(const std::string &path, JsonValue &out)
 {
-    if (!loadReport(path, out))
-        return false;
     std::string error;
-    if (!validateSelfprofReport(out, &error)) {
-        std::fprintf(stderr, "selfprof: %s: invalid report: %s\n",
-                     path.c_str(), error.c_str());
+    out = parseJsonFile(path, &error);
+    if (error.empty() && !validateSelfprofReport(out, &error))
+        error = path + ": invalid report: " + error;
+    if (!error.empty()) {
+        std::fprintf(stderr, "selfprof: %s\n", error.c_str());
         return false;
     }
     return true;

@@ -1,14 +1,19 @@
 /**
  * @file
- * The one JSON string escaper every report renderer shares (sweep,
- * store damage, constraints, lint, SARIF, lock order, chaos).
+ * The one JSON module: the string escaper every report renderer
+ * shares (sweep, store damage, constraints, lint, SARIF, lock order,
+ * chaos), the reader for the BENCH_*.json reports, and the
+ * JSON-Schema subset that runs the committed bench/BENCH_*.schema.json
+ * files as their validators.
  */
 
 #ifndef ICICLE_COMMON_JSON_HH
 #define ICICLE_COMMON_JSON_HH
 
 #include <cstdio>
+#include <map>
 #include <string>
+#include <vector>
 
 namespace icicle
 {
@@ -42,6 +47,62 @@ jsonEscape(const std::string &text)
     }
     return out;
 }
+
+/** A parsed JSON value. */
+struct JsonValue
+{
+    enum class Kind
+    {
+        Null,
+        Bool,
+        Number,
+        String,
+        Array,
+        Object
+    };
+
+    Kind kind = Kind::Null;
+    bool boolean = false;
+    double number = 0;
+    std::string str;
+    std::vector<JsonValue> items;
+    std::map<std::string, JsonValue> fields;
+
+    bool isObject() const { return kind == Kind::Object; }
+    bool isArray() const { return kind == Kind::Array; }
+    bool isNumber() const { return kind == Kind::Number; }
+    bool isString() const { return kind == Kind::String; }
+    /** Field lookup; nullptr when absent or not an object. */
+    const JsonValue *get(const std::string &key) const;
+
+    /** Structural equality (numbers compare by value: 1 == 1.0). */
+    bool operator==(const JsonValue &) const = default;
+};
+
+/**
+ * Parse a JSON document. On failure returns Kind::Null and sets
+ * *error to a message with an offset.
+ */
+JsonValue parseJson(const std::string &text, std::string *error);
+
+/**
+ * Read and parse the JSON file at `path`. On failure returns
+ * Kind::Null and sets *error to a message naming the path.
+ */
+JsonValue parseJsonFile(const std::string &path, std::string *error);
+
+/**
+ * Validate `doc` against the JSON Schema `schema`. Interprets exactly
+ * the keywords the committed report schemas use: type
+ * (object/array/number/integer/string), required, properties, items,
+ * const, enum, minimum, maximum, exclusiveMinimum, minLength,
+ * minItems, and $ref into #/definitions. title, description and
+ * $schema are ignored. Any other keyword fails validation, so a
+ * schema cannot quietly outgrow this interpreter. Returns true when
+ * valid; otherwise fills *error with the failing location and rule.
+ */
+bool validateJsonSchema(const JsonValue &doc, const JsonValue &schema,
+                        std::string *error);
 
 } // namespace icicle
 

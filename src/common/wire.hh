@@ -1,13 +1,13 @@
 /**
  * @file
- * Little-endian byte codec shared by every length-prefixed binary
- * format in the tree: the sweep journal records, the icicled request
- * protocol, the result-cache entries, and the daemon<->worker pipe
- * frames. One implementation keeps their encodings trivially
- * compatible (doubles always travel as raw bit patterns, strings as
- * u32 length + bytes) and gives each decoder the same bounds-checked
- * cursor, so a torn or hostile buffer degrades to `ok == false`
- * instead of an out-of-bounds read.
+ * Little-endian byte codec shared by every binary format in the
+ * tree: the sweep journal records, the icicled request protocol, the
+ * result-cache entries, the daemon<->worker pipe frames, and the
+ * .icst and .trc trace writers. One implementation keeps their
+ * encodings trivially compatible (doubles always travel as raw bit
+ * patterns, strings as u32 length + bytes) and gives each decoder
+ * the same bounds-checked cursor, so a torn or hostile buffer
+ * degrades to `ok == false` instead of an out-of-bounds read.
  */
 
 #ifndef ICICLE_COMMON_WIRE_HH
@@ -39,6 +39,17 @@ inline void
 put64(std::string &buf, u64 v)
 {
     buf.append(reinterpret_cast<const char *>(&v), 8);
+}
+
+/** LEB128 unsigned varint. */
+inline void
+putVarint(std::string &buf, u64 v)
+{
+    while (v >= 0x80) {
+        buf.push_back(static_cast<char>((v & 0x7f) | 0x80));
+        v >>= 7;
+    }
+    buf.push_back(static_cast<char>(v));
 }
 
 /** Doubles travel as raw bit patterns: decode is bit-exact. */

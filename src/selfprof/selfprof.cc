@@ -1,6 +1,5 @@
 #include "selfprof/selfprof.hh"
 
-#include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -11,6 +10,8 @@
 #include <sys/syscall.h>
 #include <unistd.h>
 #endif
+
+#include "report_schemas.hh"
 
 namespace icicle
 {
@@ -131,336 +132,14 @@ calibrateSpinRate()
     return static_cast<double>(kIters) / elapsed.count();
 }
 
-// ------------------------------------------------------------- JSON
-
-const JsonValue *
-JsonValue::get(const std::string &key) const
-{
-    if (kind != Kind::Object)
-        return nullptr;
-    const auto it = fields.find(key);
-    return it == fields.end() ? nullptr : &it->second;
-}
-
-namespace
-{
-
-struct Parser
-{
-    const std::string &text;
-    u64 pos = 0;
-    std::string error;
-
-    bool
-    fail(const std::string &what)
-    {
-        if (error.empty())
-            error = what + " at offset " + std::to_string(pos);
-        return false;
-    }
-
-    void
-    skipWs()
-    {
-        while (pos < text.size() &&
-               std::isspace(static_cast<unsigned char>(text[pos])))
-            pos++;
-    }
-
-    bool
-    consume(char c)
-    {
-        skipWs();
-        if (pos < text.size() && text[pos] == c) {
-            pos++;
-            return true;
-        }
-        return false;
-    }
-
-    bool
-    parseValue(JsonValue &out)
-    {
-        skipWs();
-        if (pos >= text.size())
-            return fail("unexpected end of input");
-        const char c = text[pos];
-        if (c == '{')
-            return parseObject(out);
-        if (c == '[')
-            return parseArray(out);
-        if (c == '"') {
-            out.kind = JsonValue::Kind::String;
-            return parseString(out.str);
-        }
-        if (c == 't' || c == 'f')
-            return parseKeyword(out);
-        if (c == 'n')
-            return parseKeyword(out);
-        return parseNumber(out);
-    }
-
-    bool
-    parseKeyword(JsonValue &out)
-    {
-        static const struct
-        {
-            const char *word;
-            JsonValue::Kind kind;
-            bool value;
-        } kKeywords[] = {
-            {"true", JsonValue::Kind::Bool, true},
-            {"false", JsonValue::Kind::Bool, false},
-            {"null", JsonValue::Kind::Null, false},
-        };
-        for (const auto &kw : kKeywords) {
-            const u64 len = std::strlen(kw.word);
-            if (text.compare(pos, len, kw.word) == 0) {
-                out.kind = kw.kind;
-                out.boolean = kw.value;
-                pos += len;
-                return true;
-            }
-        }
-        return fail("invalid literal");
-    }
-
-    bool
-    parseNumber(JsonValue &out)
-    {
-        const u64 start = pos;
-        if (pos < text.size() && text[pos] == '-')
-            pos++;
-        while (pos < text.size() &&
-               (std::isdigit(static_cast<unsigned char>(text[pos])) ||
-                text[pos] == '.' || text[pos] == 'e' ||
-                text[pos] == 'E' || text[pos] == '+' ||
-                text[pos] == '-'))
-            pos++;
-        if (pos == start)
-            return fail("expected a value");
-        try {
-            out.number = std::stod(text.substr(start, pos - start));
-        } catch (...) {
-            pos = start;
-            return fail("malformed number");
-        }
-        out.kind = JsonValue::Kind::Number;
-        return true;
-    }
-
-    bool
-    parseString(std::string &out)
-    {
-        skipWs();
-        if (!consume('"'))
-            return fail("expected '\"'");
-        out.clear();
-        while (pos < text.size()) {
-            const char c = text[pos++];
-            if (c == '"')
-                return true;
-            if (c == '\\') {
-                if (pos >= text.size())
-                    return fail("bad escape");
-                const char e = text[pos++];
-                switch (e) {
-                  case '"': out += '"'; break;
-                  case '\\': out += '\\'; break;
-                  case '/': out += '/'; break;
-                  case 'n': out += '\n'; break;
-                  case 't': out += '\t'; break;
-                  case 'r': out += '\r'; break;
-                  case 'b': out += '\b'; break;
-                  case 'f': out += '\f'; break;
-                  case 'u': {
-                    const std::string hex = text.substr(pos, 4);
-                    if (hex.size() < 4 ||
-                        hex.find_first_not_of("0123456789abcdefABCDEF") !=
-                            std::string::npos)
-                        return fail("bad \\u escape");
-                    // ASCII code points decode; others are kept
-                    // as-is, which is enough for these reports.
-                    const unsigned long code = std::stoul(hex, nullptr, 16);
-                    if (code < 0x80)
-                        out += static_cast<char>(code);
-                    else
-                        out += "\\u" + hex;
-                    pos += 4;
-                    break;
-                  }
-                  default: return fail("bad escape");
-                }
-            } else if (static_cast<unsigned char>(c) < 0x20) {
-                return fail("raw control character in string");
-            } else {
-                out += c;
-            }
-        }
-        return fail("unterminated string");
-    }
-
-    bool
-    parseObject(JsonValue &out)
-    {
-        if (!consume('{'))
-            return fail("expected '{'");
-        out.kind = JsonValue::Kind::Object;
-        skipWs();
-        if (consume('}'))
-            return true;
-        while (true) {
-            std::string key;
-            if (!parseString(key))
-                return false;
-            if (!consume(':'))
-                return fail("expected ':'");
-            JsonValue value;
-            if (!parseValue(value))
-                return false;
-            out.fields[key] = std::move(value);
-            if (consume(','))
-                continue;
-            if (consume('}'))
-                return true;
-            return fail("expected ',' or '}'");
-        }
-    }
-
-    bool
-    parseArray(JsonValue &out)
-    {
-        if (!consume('['))
-            return fail("expected '['");
-        out.kind = JsonValue::Kind::Array;
-        skipWs();
-        if (consume(']'))
-            return true;
-        while (true) {
-            JsonValue value;
-            if (!parseValue(value))
-                return false;
-            out.items.push_back(std::move(value));
-            if (consume(','))
-                continue;
-            if (consume(']'))
-                return true;
-            return fail("expected ',' or ']'");
-        }
-    }
-};
-
-} // namespace
-
-JsonValue
-parseJson(const std::string &text, std::string *error)
-{
-    Parser parser{text, 0, {}};
-    JsonValue out;
-    if (!parser.parseValue(out)) {
-        if (error)
-            *error = parser.error;
-        return JsonValue{};
-    }
-    parser.skipWs();
-    if (parser.pos != text.size()) {
-        if (error)
-            *error = "trailing garbage at offset " +
-                     std::to_string(parser.pos);
-        return JsonValue{};
-    }
-    return out;
-}
-
 // ------------------------------------------------------- validation
-
-namespace
-{
-
-bool
-failValidate(std::string *error, const std::string &what)
-{
-    if (error)
-        *error = what;
-    return false;
-}
-
-bool
-requirePositiveNumber(const JsonValue &obj, const std::string &key,
-                      const std::string &where, std::string *error)
-{
-    const JsonValue *v = obj.get(key);
-    if (!v || !v->isNumber())
-        return failValidate(error,
-                            where + ": missing number '" + key + "'");
-    if (v->number <= 0)
-        return failValidate(error, where + ": '" + key +
-                                       "' must be > 0");
-    return true;
-}
-
-} // namespace
 
 bool
 validateSelfprofReport(const JsonValue &report, std::string *error)
 {
-    if (!report.isObject())
-        return failValidate(error, "report must be a JSON object");
-
-    const JsonValue *version = report.get("schema_version");
-    if (!version || !version->isNumber() || version->number != 1)
-        return failValidate(error, "schema_version must be 1");
-
-    const JsonValue *source = report.get("counter_source");
-    if (!source || !source->isString() ||
-        (source->str != "perf_event" && source->str != "wall_clock"))
-        return failValidate(error, "counter_source must be "
-                                   "'perf_event' or 'wall_clock'");
-
-    const JsonValue *calibration = report.get("calibration");
-    if (!calibration || !calibration->isObject())
-        return failValidate(error, "missing calibration object");
-    if (!requirePositiveNumber(*calibration, "spin_iters_per_sec",
-                               "calibration", error))
-        return false;
-
-    const JsonValue *lanes = report.get("lanes");
-    if (!lanes || !lanes->isArray() || lanes->items.empty())
-        return failValidate(error, "lanes must be a non-empty array");
-
-    for (u64 i = 0; i < lanes->items.size(); i++) {
-        const JsonValue &lane = lanes->items[i];
-        const std::string where = "lanes[" + std::to_string(i) + "]";
-        if (!lane.isObject())
-            return failValidate(error, where + " must be an object");
-        const JsonValue *name = lane.get("name");
-        if (!name || !name->isString() || name->str.empty())
-            return failValidate(error,
-                                where + ": missing string 'name'");
-        if (!requirePositiveNumber(lane, "sim_cycles", where, error))
-            return false;
-        if (!requirePositiveNumber(lane, "wall_seconds", where,
-                                   error))
-            return false;
-        if (!requirePositiveNumber(lane, "sim_cycles_per_sec", where,
-                                   error))
-            return false;
-        // Host counters are optional (wall-clock fallback omits
-        // them) but must be non-negative numbers when present.
-        for (const char *key :
-             {"host_instructions", "host_cycles",
-              "host_branch_misses", "host_cache_misses",
-              "host_instructions_per_sim_cycle", "host_ipc"}) {
-            const JsonValue *v = lane.get(key);
-            if (!v)
-                continue;
-            if (!v->isNumber() || v->number < 0)
-                return failValidate(
-                    error, where + ": '" + std::string(key) +
-                               "' must be a non-negative number");
-        }
-    }
-    return true;
+    static const JsonValue schema =
+        parseJson(kSelfprofReportSchema, nullptr);
+    return validateJsonSchema(report, schema, error);
 }
 
 // ------------------------------------------------------- comparison

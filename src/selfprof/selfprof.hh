@@ -13,18 +13,18 @@
  *    anchors cross-host comparisons — regression checks compare
  *    sim-cycles/s *normalized by* the host's spin rate, so a slower
  *    CI machine does not read as a simulator regression.
- *  - A minimal JSON reader plus validation/compare routines for
- *    BENCH_selfprof.json, so the schema gate and the >20% regression
- *    gate run from the same binary with no external tooling.
+ *  - Validation (the committed schema, run by common/json) and
+ *    comparison routines for BENCH_selfprof.json, so the schema gate
+ *    and the >20% regression gate run from the same binary with no
+ *    external tooling.
  */
 
 #ifndef ICICLE_SELFPROF_SELFPROF_HH
 #define ICICLE_SELFPROF_SELFPROF_HH
 
-#include <map>
 #include <string>
-#include <vector>
 
+#include "common/json.hh"
 #include "common/types.hh"
 
 namespace icicle
@@ -73,49 +73,10 @@ class HostProfiler
  */
 double calibrateSpinRate();
 
-// --------------------------------------------------------------------
-// Minimal JSON for the report format
-// --------------------------------------------------------------------
-
-/** A parsed JSON value (just enough for BENCH_selfprof.json). */
-struct JsonValue
-{
-    enum class Kind
-    {
-        Null,
-        Bool,
-        Number,
-        String,
-        Array,
-        Object
-    };
-
-    Kind kind = Kind::Null;
-    bool boolean = false;
-    double number = 0;
-    std::string str;
-    std::vector<JsonValue> items;
-    std::map<std::string, JsonValue> fields;
-
-    bool isObject() const { return kind == Kind::Object; }
-    bool isArray() const { return kind == Kind::Array; }
-    bool isNumber() const { return kind == Kind::Number; }
-    bool isString() const { return kind == Kind::String; }
-    /** Field lookup; nullptr when absent or not an object. */
-    const JsonValue *get(const std::string &key) const;
-};
-
 /**
- * Parse a JSON document. On failure returns Kind::Null and sets
- * *error to a message with an offset.
- */
-JsonValue parseJson(const std::string &text, std::string *error);
-
-/**
- * Validate a parsed BENCH_selfprof.json report against the contract
- * documented in bench/BENCH_selfprof.schema.json (this function is
- * the executable form of that schema — keep them in sync). Returns
- * true when valid; otherwise fills *error.
+ * Validate a parsed BENCH_selfprof.json report against
+ * bench/BENCH_selfprof.schema.json (compiled into the library).
+ * Returns true when valid; otherwise fills *error.
  */
 bool validateSelfprofReport(const JsonValue &report,
                             std::string *error);

@@ -1,5 +1,7 @@
 #include "serve/report.hh"
 
+#include "report_schemas.hh"
+
 namespace icicle
 {
 
@@ -14,177 +16,44 @@ failValidate(std::string *error, const std::string &message)
     return false;
 }
 
-bool
-requireNumber(const JsonValue &object, const char *key,
-              const std::string &where, std::string *error,
-              double min_value = 0)
-{
-    const JsonValue *v = object.get(key);
-    if (!v || !v->isNumber() || v->number < min_value)
-        return failValidate(error, where + ": '" + key +
-                                       "' must be a number >= " +
-                                       std::to_string(min_value));
-    return true;
-}
-
-const JsonValue *
-requireObject(const JsonValue &report, const char *key,
-              std::string *error)
-{
-    const JsonValue *v = report.get(key);
-    if (!v || !v->isObject()) {
-        failValidate(error,
-                     std::string("missing object '") + key + "'");
-        return nullptr;
-    }
-    return v;
-}
-
-bool
-validateLatency(const JsonValue &latency, const char *key,
-                std::string *error)
-{
-    const JsonValue *side = latency.get(key);
-    const std::string where = std::string("latency_us.") + key;
-    if (!side || !side->isObject())
-        return failValidate(error, where + " must be an object");
-    for (const char *field : {"count", "p50", "p99", "max"}) {
-        if (!requireNumber(*side, field, where, error))
-            return false;
-    }
-    const double p50 = side->get("p50")->number;
-    const double p99 = side->get("p99")->number;
-    const double max = side->get("max")->number;
-    if (p50 > p99 || p99 > max)
-        return failValidate(error,
-                            where + ": wants p50 <= p99 <= max");
-    return true;
-}
-
 } // namespace
 
 bool
 validateServeReport(const JsonValue &report, std::string *error)
 {
-    if (!report.isObject())
-        return failValidate(error, "report must be a JSON object");
-
-    const JsonValue *version = report.get("schema_version");
-    if (!version || !version->isNumber() || version->number != 1)
-        return failValidate(error, "schema_version must be 1");
-
-    const JsonValue *bench = report.get("bench");
-    if (!bench || !bench->isString() || bench->str != "serve")
-        return failValidate(error, "bench must be 'serve'");
-
-    const JsonValue *config = requireObject(report, "config", error);
-    if (!config)
+    static const JsonValue schema =
+        parseJson(kServeReportSchema, nullptr);
+    if (!validateJsonSchema(report, schema, error))
         return false;
-    for (const char *key :
-         {"clients", "requests_per_client", "hot_keys",
-          "max_cycles"}) {
-        if (!requireNumber(*config, key, "config", error, 1))
-            return false;
-    }
-    if (!requireNumber(*config, "hot_fraction", "config", error))
-        return false;
-    if (config->get("hot_fraction")->number > 1)
-        return failValidate(error,
-                            "config: hot_fraction must be <= 1");
 
-    const JsonValue *totals = requireObject(report, "totals", error);
-    if (!totals)
-        return false;
-    for (const char *key :
-         {"requests", "hot_requests", "cold_requests", "cache_hits",
-          "cache_misses", "jobs_simulated", "errors"}) {
-        if (!requireNumber(*totals, key, "totals", error))
-            return false;
-    }
-    if (!requireNumber(*totals, "hot_hit_rate", "totals", error))
-        return false;
-    if (totals->get("hot_hit_rate")->number > 1)
-        return failValidate(error,
-                            "totals: hot_hit_rate must be <= 1");
-    const double hits = totals->get("cache_hits")->number;
-    const double misses = totals->get("cache_misses")->number;
-    const double requests = totals->get("requests")->number;
-    if (hits + misses != requests)
+    // Cross-field rules the schema language cannot state.
+    const JsonValue &totals = *report.get("totals");
+    const double requests = totals.get("requests")->number;
+    if (totals.get("cache_hits")->number +
+            totals.get("cache_misses")->number !=
+        requests)
         return failValidate(
             error, "totals: cache_hits + cache_misses must equal "
                    "requests");
-
-    const JsonValue *latency =
-        requireObject(report, "latency_us", error);
-    if (!latency)
-        return false;
-    if (!validateLatency(*latency, "hit", error) ||
-        !validateLatency(*latency, "miss", error))
-        return false;
-
-    const JsonValue *speedup =
-        requireObject(report, "speedup", error);
-    if (!speedup)
-        return false;
-    for (const char *key :
-         {"p50_miss_over_p99_hit", "p99_miss_over_p99_hit"}) {
-        if (!requireNumber(*speedup, key, "speedup", error))
-            return false;
+    for (const char *key : {"hit", "miss"}) {
+        const JsonValue &side = *report.get("latency_us")->get(key);
+        const double p50 = side.get("p50")->number;
+        const double p99 = side.get("p99")->number;
+        const double max = side.get("max")->number;
+        if (p50 > p99 || p99 > max)
+            return failValidate(error, std::string("latency_us.") +
+                                           key +
+                                           ": wants p50 <= p99 <= max");
     }
-
-    const JsonValue *robustness =
-        requireObject(report, "robustness", error);
-    if (!robustness)
-        return false;
-    const JsonValue *client = robustness->get("client");
-    if (!client || !client->isObject())
-        return failValidate(error,
-                            "robustness.client must be an object");
-    for (const char *key :
-         {"attempts", "retries", "sheds_seen", "timeouts"}) {
-        if (!requireNumber(*client, key, "robustness.client", error))
-            return false;
-    }
-    const double attempts = client->get("attempts")->number;
-    if (client->get("retries")->number > attempts)
+    const JsonValue &client = *report.get("robustness")->get("client");
+    const double attempts = client.get("attempts")->number;
+    if (client.get("retries")->number > attempts)
         return failValidate(
             error, "robustness.client: retries must be <= attempts");
     if (attempts < requests)
         return failValidate(
             error, "robustness.client: attempts must be >= "
                    "totals.requests (each request costs >= 1)");
-    const JsonValue *server = robustness->get("server");
-    if (!server || !server->isObject())
-        return failValidate(error,
-                            "robustness.server must be an object");
-    for (const char *key :
-         {"shed_conns", "shed_requests", "publish_failures",
-          "degraded_points"}) {
-        if (!requireNumber(*server, key, "robustness.server", error))
-            return false;
-    }
-    if (!requireNumber(*server, "degraded", "robustness.server",
-                       error))
-        return false;
-    const double degraded = server->get("degraded")->number;
-    if (degraded != 0 && degraded != 1)
-        return failValidate(
-            error, "robustness.server: degraded must be 0 or 1");
-    const JsonValue *robust_latency = robustness->get("latency_us");
-    if (!robust_latency || !robust_latency->isObject())
-        return failValidate(
-            error, "robustness.latency_us must be an object");
-    for (const char *side : {"attempt", "total"}) {
-        const JsonValue *v = robust_latency->get(side);
-        const std::string where =
-            std::string("robustness.latency_us.") + side;
-        if (!v || !v->isObject())
-            return failValidate(error, where + " must be an object");
-        for (const char *field : {"count", "p50", "p99", "max"}) {
-            if (!requireNumber(*v, field, where, error))
-                return false;
-        }
-    }
     return true;
 }
 

@@ -5,9 +5,8 @@
  * icicle-bench-serve emits one JSON document per run; CI validates
  * it with `icicle-bench-serve --validate` and gates the caching
  * acceptance criteria with `--check` (hot-key hit rate, hit-vs-miss
- * latency speedup). validateServeReport() is the executable form of
- * bench/BENCH_serve.schema.json — keep them in sync, like the
- * selfprof pair it mirrors.
+ * latency speedup). The schema is bench/BENCH_serve.schema.json
+ * itself, compiled into the library and run by common/json.
  */
 
 #ifndef ICICLE_SERVE_REPORT_HH
@@ -15,14 +14,17 @@
 
 #include <string>
 
-#include "selfprof/selfprof.hh"
+#include "common/json.hh"
 
 namespace icicle
 {
 
 /**
- * Validate a parsed BENCH_serve.json against the schema. Returns
- * true when valid; otherwise fills *error.
+ * Validate a parsed BENCH_serve.json against the schema, then the
+ * cross-field rules it cannot state: cache_hits + cache_misses ==
+ * requests, p50 <= p99 <= max for both latency series, retries <=
+ * attempts, and attempts >= requests. Returns true when valid;
+ * otherwise fills *error.
  */
 bool validateServeReport(const JsonValue &report, std::string *error);
 

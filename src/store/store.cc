@@ -8,6 +8,7 @@
 #include "common/crc32.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
+#include "common/wire.hh"
 #include "core/session.hh"
 #include "fault/fault.hh"
 
@@ -16,37 +17,6 @@ namespace icicle
 
 namespace
 {
-
-// ---- little-endian scalar + varint codec ----------------------------
-
-void
-putBytes(std::string &buf, const void *data, std::size_t len)
-{
-    buf.append(static_cast<const char *>(data), len);
-}
-
-void
-put32(std::string &buf, u32 v)
-{
-    putBytes(buf, &v, 4);
-}
-
-void
-put64(std::string &buf, u64 v)
-{
-    putBytes(buf, &v, 8);
-}
-
-/** LEB128 unsigned varint. */
-void
-putVarint(std::string &buf, u64 v)
-{
-    while (v >= 0x80) {
-        buf.push_back(static_cast<char>((v & 0x7f) | 0x80));
-        v >>= 7;
-    }
-    buf.push_back(static_cast<char>(v));
-}
 
 /** Throw a typed StoreError (a FatalError carrying its kind). */
 template <typename... Args>
@@ -222,17 +192,17 @@ StoreWriter::StoreWriter(const TraceSpec &spec,
 {
     buffer.reserve(cyclesPerBlock);
     std::string header;
-    put32(header, kStoreMagic);
-    put32(header, kStoreVersion);
-    put32(header, traceSpec.numFields());
-    put32(header, cyclesPerBlock);
+    wire::put32(header, kStoreMagic);
+    wire::put32(header, kStoreVersion);
+    wire::put32(header, traceSpec.numFields());
+    wire::put32(header, cyclesPerBlock);
     for (const TraceField &field : traceSpec.fields) {
-        put32(header, static_cast<u32>(field.event));
-        put32(header, field.lane);
+        wire::put32(header, static_cast<u32>(field.event));
+        wire::put32(header, field.lane);
     }
     // v2: the header guards itself, so salvage can tell "damaged
     // data" apart from "untrustworthy spec".
-    put32(header, crc32(header.data(), header.size()));
+    wire::put32(header, crc32(header.data(), header.size()));
     out.append(header);
 }
 
@@ -296,7 +266,7 @@ StoreWriter::flushBlock(bool torn)
     }
 
     std::string record;
-    put32(record, cycles);
+    wire::put32(record, cycles);
     std::string footer;
     for (u32 f = 0; f < num_fields; f++) {
         const std::vector<u32> &edges = transitions[f];
@@ -306,28 +276,28 @@ StoreWriter::flushBlock(bool torn)
         std::string plane;
         u64 popcount = 0;
         if (edges.empty()) {
-            putVarint(plane, cycles); // all-zero plane
+            wire::putVarint(plane, cycles); // all-zero plane
         } else {
-            putVarint(plane, edges[0]);
+            wire::putVarint(plane, edges[0]);
             for (std::size_t e = 1; e < edges.size(); e++) {
                 const u32 run = edges[e] - edges[e - 1];
-                putVarint(plane, run);
+                wire::putVarint(plane, run);
                 if (e % 2 == 1)
                     popcount += run;
             }
             if (edges.back() < cycles)
-                putVarint(plane, cycles - edges.back());
+                wire::putVarint(plane, cycles - edges.back());
         }
-        putVarint(record, plane.size());
+        wire::putVarint(record, plane.size());
         record += plane;
 
-        put64(footer, popcount);
-        put32(footer, edges.empty() ? kNoSetCycle : edges[0]);
-        put32(footer, edges.empty() ? kNoSetCycle : edges.back() - 1);
+        wire::put64(footer, popcount);
+        wire::put32(footer, edges.empty() ? kNoSetCycle : edges[0]);
+        wire::put32(footer, edges.empty() ? kNoSetCycle : edges.back() - 1);
     }
     record += footer;
     const u32 crc = crc32(record.data(), record.size());
-    put32(record, crc);
+    wire::put32(record, crc);
 
     // Fault hooks: a bitflip clause corrupts this block's payload
     // after its CRC was computed; a torn final block writes only half
@@ -359,17 +329,17 @@ StoreWriter::finish()
 
     std::string tail;
     const u64 index_offset = out.size();
-    put32(tail, static_cast<u32>(index.size()));
+    wire::put32(tail, static_cast<u32>(index.size()));
     for (const IndexEntry &entry : index) {
-        put64(tail, entry.offset);
-        put64(tail, entry.startCycle);
-        put32(tail, entry.numCycles);
+        wire::put64(tail, entry.offset);
+        wire::put64(tail, entry.startCycle);
+        wire::put32(tail, entry.numCycles);
     }
-    put64(tail, totalCycles);
+    wire::put64(tail, totalCycles);
     const u32 crc = crc32(tail.data(), tail.size());
-    put32(tail, crc);
-    put64(tail, index_offset);
-    put32(tail, kStoreTrailerMagic);
+    wire::put32(tail, crc);
+    wire::put64(tail, index_offset);
+    wire::put32(tail, kStoreTrailerMagic);
     out.append(tail);
     out.commit();
 }

@@ -9,6 +9,7 @@
 
 #include "common/crc32.hh"
 #include "common/logging.hh"
+#include "common/wire.hh"
 #include "core/dispatch.hh"
 #include "fault/atomic_file.hh"
 
@@ -95,18 +96,6 @@ TraceSpec::frontendBundle()
 
 // -------------------------------------------------------------- Trace
 
-u64
-packTraceWord(const TraceSpec &spec, const EventBus &bus)
-{
-    u64 word = 0;
-    for (u32 f = 0; f < spec.fields.size(); f++) {
-        const TraceField &field = spec.fields[f];
-        if (bus.mask(field.event) & (1u << field.lane))
-            word |= 1ull << f;
-    }
-    return word;
-}
-
 TracePacker::TracePacker(const TraceSpec &spec)
 {
     for (u32 f = 0; f < spec.fields.size(); f++) {
@@ -189,22 +178,23 @@ writeTrace(const Trace &trace, const std::string &path)
 {
     // Crash-atomic: the .trc appears only once fully written.
     AtomicFile out(path, FaultSite::TraceWrite);
-    Crc32 crc;
-    auto put32 = [&out](u32 v) { out.append(&v, 4); };
-    auto put64 = [&out](u64 v) { out.append(&v, 8); };
-    put32(kTraceMagic);
-    put32(kTraceVersion);
-    put32(trace.spec().numFields());
+    std::string header;
+    wire::put32(header, kTraceMagic);
+    wire::put32(header, kTraceVersion);
+    wire::put32(header, trace.spec().numFields());
     for (const TraceField &field : trace.spec().fields) {
-        put32(static_cast<u32>(field.event));
-        put32(field.lane);
+        wire::put32(header, static_cast<u32>(field.event));
+        wire::put32(header, field.lane);
     }
-    put64(trace.numCycles());
-    for (u64 word : trace.raw()) {
-        put64(word);
-        crc.update(&word, 8);
-    }
-    put32(crc.value());
+    wire::put64(header, trace.numCycles());
+    out.append(header);
+    const std::vector<u64> &words = trace.raw();
+    out.append(words.data(), words.size() * sizeof(u64));
+    Crc32 crc;
+    crc.update(words.data(), words.size() * sizeof(u64));
+    std::string trailer;
+    wire::put32(trailer, crc.value());
+    out.append(trailer);
     out.commit();
 }
 

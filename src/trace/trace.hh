@@ -66,18 +66,13 @@ struct TraceSpec
 };
 
 /**
- * Pack the current bus state into one trace word: bit f mirrors
- * field f of the spec. Shared by in-memory capture and the streaming
- * store path (src/store/), so both record identical bits.
- */
-u64 packTraceWord(const TraceSpec &spec, const EventBus &bus);
-
-/**
  * Precompiled packer for a TraceSpec: contiguous lanes of the same
  * event (the common case — addEvent() adds lanes 0..n-1 in order)
  * collapse into one shift-and-mask segment, so packing a cycle costs
- * a few ALU ops per *event* instead of a branch per *field*.
- * Produces bit-identical words to packTraceWord().
+ * a few ALU ops per *event* instead of a branch per *field*. Bit f
+ * of a packed word mirrors field f of the spec; in-memory capture and
+ * the streaming store path (src/store/) share this packer, so both
+ * record identical bits.
  */
 class TracePacker
 {

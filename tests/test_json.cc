@@ -1,8 +1,9 @@
 /**
  * @file
- * The shared JSON string escaper: every report renderer must emit
- * valid JSON for strings holding quotes, backslashes and control
- * bytes, and a strict parser must read the original string back.
+ * The shared JSON module: every report renderer must emit valid JSON
+ * for strings holding quotes, backslashes and control bytes, a strict
+ * parser must read the original string back, and the JSON-Schema
+ * subset must enforce each keyword the committed schemas use.
  */
 
 #include <gtest/gtest.h>
@@ -12,7 +13,6 @@
 #include "analysis/sarif.hh"
 #include "common/json.hh"
 #include "common/lockorder.hh"
-#include "selfprof/selfprof.hh"
 #include "serve/chaos.hh"
 #include "store/store.hh"
 #include "sweep/sweep.hh"
@@ -52,6 +52,119 @@ stringAt(const JsonValue &root, const std::vector<std::string> &path)
         }
     }
     return node->isString() ? node->str : "<not a string>";
+}
+
+TEST(JsonParser, ParsesScalarsArraysObjects)
+{
+    const JsonValue v = parsed(
+        R"({"a": 1.5, "b": [true, null, "x\n"], "c": {"d": -2}})");
+    ASSERT_TRUE(v.isObject());
+    EXPECT_DOUBLE_EQ(v.get("a")->number, 1.5);
+    ASSERT_TRUE(v.get("b")->isArray());
+    EXPECT_EQ(v.get("b")->items.size(), 3u);
+    EXPECT_TRUE(v.get("b")->items[0].boolean);
+    EXPECT_EQ(v.get("b")->items[1].kind, JsonValue::Kind::Null);
+    EXPECT_EQ(v.get("b")->items[2].str, "x\n");
+    EXPECT_DOUBLE_EQ(v.get("c")->get("d")->number, -2.0);
+}
+
+TEST(JsonParser, RejectsMalformedInput)
+{
+    for (const char *bad :
+         {"{", "[1,", "{\"a\" 1}", "tru", "{} garbage", ""}) {
+        std::string error;
+        const JsonValue v = parseJson(bad, &error);
+        EXPECT_EQ(v.kind, JsonValue::Kind::Null) << bad;
+        EXPECT_FALSE(error.empty()) << bad;
+    }
+}
+
+TEST(JsonParser, FileErrorsNameThePath)
+{
+    std::string error;
+    const JsonValue v = parseJsonFile("/nonexistent/report.json", &error);
+    EXPECT_EQ(v.kind, JsonValue::Kind::Null);
+    EXPECT_NE(error.find("/nonexistent/report.json"), std::string::npos)
+        << error;
+}
+
+TEST(JsonSchema, InterpretsEachKeyword)
+{
+    const struct
+    {
+        const char *schema;
+        const char *doc;
+        bool valid;
+    } kCases[] = {
+        {R"({"type": "object"})", "{}", true},
+        {R"({"type": "object"})", "[]", false},
+        {R"({"type": "array"})", "[]", true},
+        {R"({"type": "array"})", "{}", false},
+        {R"({"type": "string"})", R"("x")", true},
+        {R"({"type": "string"})", "1", false},
+        {R"({"type": "number"})", "1.5", true},
+        {R"({"type": "number"})", R"("1")", false},
+        {R"({"type": "integer"})", "2", true},
+        {R"({"type": "integer"})", "2.0", true},
+        {R"({"type": "integer"})", "1.5", false},
+        {R"({"required": ["a"]})", R"({"a": null})", true},
+        {R"({"required": ["a"]})", R"({"b": 1})", false},
+        {R"({"properties": {"a": {"type": "string"}}})", R"({"b": 1})",
+         true},
+        {R"({"properties": {"a": {"type": "string"}}})", R"({"a": 1})",
+         false},
+        {R"({"items": {"minimum": 0}})", "[0, 1]", true},
+        {R"({"items": {"minimum": 0}})", "[0, -1]", false},
+        {R"({"const": 1})", "1.0", true},
+        {R"({"const": 1})", "2", false},
+        {R"({"const": "serve"})", R"("Serve")", false},
+        {R"({"enum": ["a", 0]})", "0", true},
+        {R"({"enum": ["a", 0]})", R"("0")", false},
+        {R"({"minimum": 1})", "1", true},
+        {R"({"minimum": 1})", "0.5", false},
+        {R"({"maximum": 1})", "1", true},
+        {R"({"maximum": 1})", "1.01", false},
+        {R"({"exclusiveMinimum": 0})", "0.001", true},
+        {R"({"exclusiveMinimum": 0})", "0", false},
+        {R"({"minLength": 1})", R"("x")", true},
+        {R"({"minLength": 1})", R"("")", false},
+        {R"({"minItems": 1})", "[1]", true},
+        {R"({"minItems": 1})", "[]", false},
+        // Size and range keywords ignore values of other types.
+        {R"({"minimum": 1, "minLength": 2})", "[]", true},
+        {R"({"definitions": {"p": {"type": "integer"}},
+            "properties": {"a": {"$ref": "#/definitions/p"}}})",
+         R"({"a": 1})", true},
+        {R"({"definitions": {"p": {"type": "integer"}},
+            "properties": {"a": {"$ref": "#/definitions/p"}}})",
+         R"({"a": 1.5})", false},
+        {R"({"$ref": "#/definitions/missing"})", "1", false},
+        {R"({"$schema": "s", "title": "t", "description": "d"})", "1",
+         true},
+        // Unknown keywords and types fail, even in subschemas the
+        // document never reaches.
+        {R"({"pattern": "^x$"})", R"("x")", false},
+        {R"({"properties": {"a": {"maxLength": 3}}})", "{}", false},
+        {R"({"type": "boolean"})", "true", false},
+    };
+    for (const auto &c : kCases) {
+        std::string error;
+        EXPECT_EQ(validateJsonSchema(parsed(c.doc), parsed(c.schema),
+                                     &error),
+                  c.valid)
+            << c.schema << " on " << c.doc << ": " << error;
+        EXPECT_EQ(error.empty(), c.valid) << c.schema;
+    }
+}
+
+TEST(JsonSchema, ErrorsNameTheFailingLocation)
+{
+    const JsonValue schema = parsed(R"({"properties": {"a": {
+        "properties": {"b": {"items": {"type": "number"}}}}}})");
+    std::string error;
+    EXPECT_FALSE(validateJsonSchema(parsed(R"({"a": {"b": [1, "x"]}})"),
+                                    schema, &error));
+    EXPECT_NE(error.find("$.a.b[1]"), std::string::npos) << error;
 }
 
 TEST(JsonEscape, ShortFormsAndHexEscapes)

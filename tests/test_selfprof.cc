@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the bench/selfprof support library: the JSON reader, the
- * executable BENCH_selfprof.json schema, the calibration-normalized
+ * Tests for the bench/selfprof support library: the
+ * BENCH_selfprof.json schema check, the calibration-normalized
  * regression comparison, and the HostProfiler fallback contract.
  */
 
@@ -35,36 +35,20 @@ parseOk(const std::string &text)
     return value;
 }
 
-TEST(SelfprofJson, ParsesScalarsArraysObjects)
-{
-    const JsonValue v = parseOk(
-        R"({"a": 1.5, "b": [true, null, "x\n"], "c": {"d": -2}})");
-    ASSERT_TRUE(v.isObject());
-    EXPECT_DOUBLE_EQ(v.get("a")->number, 1.5);
-    ASSERT_TRUE(v.get("b")->isArray());
-    EXPECT_EQ(v.get("b")->items.size(), 3u);
-    EXPECT_TRUE(v.get("b")->items[0].boolean);
-    EXPECT_EQ(v.get("b")->items[1].kind, JsonValue::Kind::Null);
-    EXPECT_EQ(v.get("b")->items[2].str, "x\n");
-    EXPECT_DOUBLE_EQ(v.get("c")->get("d")->number, -2.0);
-}
-
-TEST(SelfprofJson, RejectsMalformedInput)
-{
-    for (const char *bad :
-         {"{", "[1,", "{\"a\" 1}", "tru", "{} garbage", ""}) {
-        std::string error;
-        const JsonValue v = parseJson(bad, &error);
-        EXPECT_EQ(v.kind, JsonValue::Kind::Null) << bad;
-        EXPECT_FALSE(error.empty()) << bad;
-    }
-}
-
 TEST(SelfprofSchema, AcceptsValidReport)
 {
     std::string error;
     EXPECT_TRUE(validateSelfprofReport(parseOk(kValidReport), &error))
         << error;
+}
+
+TEST(SelfprofSchema, AcceptsCommittedBaseline)
+{
+    std::string error;
+    const JsonValue report =
+        parseJsonFile(ICICLE_BENCH_DIR "/BENCH_selfprof.json", &error);
+    ASSERT_TRUE(error.empty()) << error;
+    EXPECT_TRUE(validateSelfprofReport(report, &error)) << error;
 }
 
 TEST(SelfprofSchema, RejectsBrokenReports)

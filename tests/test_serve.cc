@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -31,6 +32,7 @@
 #include "serve/client.hh"
 #include "serve/pool.hh"
 #include "serve/protocol.hh"
+#include "serve/report.hh"
 #include "serve/server.hh"
 #include "sweep/journal.hh"
 #include "sweep/sweep.hh"
@@ -259,6 +261,80 @@ TEST(ServeProtocol, FramesRoundTripAndCorruptionIsDetected)
     }
     EXPECT_EQ(readFrame(fds[0], type, payload), FrameRead::Error);
     ::close(fds[0]);
+}
+
+/** The committed bench/BENCH_serve.json, parsed. */
+JsonValue
+committedServeReport()
+{
+    std::string error;
+    JsonValue report =
+        parseJsonFile(ICICLE_BENCH_DIR "/BENCH_serve.json", &error);
+    EXPECT_TRUE(error.empty()) << error;
+    return report;
+}
+
+TEST(ServeSchema, AcceptsCommittedReport)
+{
+    std::string error;
+    EXPECT_TRUE(validateServeReport(committedServeReport(), &error))
+        << error;
+}
+
+TEST(ServeSchema, RejectsOneRuleMutations)
+{
+    // Each mutation breaks exactly one rule; `where` must appear in
+    // the error, so the intended rule is the one that fired.
+    const struct
+    {
+        const char *where;
+        std::function<void(JsonValue &)> mutate;
+    } kMutations[] = {
+        {"'core'",
+         [](JsonValue &r) { r.fields["config"].fields.erase("core"); }},
+        {"totals.errors",
+         [](JsonValue &r) {
+             r.fields["totals"].fields["errors"].number = 1.5;
+         }},
+        {"config.workload",
+         [](JsonValue &r) {
+             r.fields["config"].fields["workload"].str.clear();
+         }},
+        {"cache_hits + cache_misses",
+         [](JsonValue &r) {
+             r.fields["totals"].fields["cache_hits"].number += 1;
+         }},
+        {"latency_us.hit",
+         [](JsonValue &r) {
+             JsonValue &hit = r.fields["latency_us"].fields["hit"];
+             hit.fields["p50"].number = hit.fields["p99"].number + 1;
+         }},
+        {"latency_us.miss",
+         [](JsonValue &r) {
+             JsonValue &miss = r.fields["latency_us"].fields["miss"];
+             miss.fields["max"].number = miss.fields["p99"].number - 1;
+         }},
+        {"retries must be <= attempts",
+         [](JsonValue &r) {
+             JsonValue &client = r.fields["robustness"].fields["client"];
+             client.fields["retries"].number =
+                 client.fields["attempts"].number + 1;
+         }},
+        {"attempts must be >= totals.requests",
+         [](JsonValue &r) {
+             r.fields["robustness"].fields["client"].fields["attempts"]
+                 .number = r.fields["totals"].fields["requests"].number - 1;
+         }},
+    };
+    for (const auto &mutation : kMutations) {
+        JsonValue report = committedServeReport();
+        mutation.mutate(report);
+        std::string error;
+        EXPECT_FALSE(validateServeReport(report, &error))
+            << "mutation not caught: " << mutation.where;
+        EXPECT_NE(error.find(mutation.where), std::string::npos)
+            << mutation.where << ": " << error;
+    }
 }
 
 TEST(ServeCache, KeyIsDeterministicAndCoversEveryAxis)

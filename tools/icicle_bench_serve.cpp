@@ -30,7 +30,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -40,7 +39,6 @@
 #include "common/argparse.hh"
 #include "common/logging.hh"
 #include "fault/atomic_file.hh"
-#include "selfprof/selfprof.hh"
 #include "serve/chaos.hh"
 #include "serve/client.hh"
 #include "serve/report.hh"
@@ -396,15 +394,10 @@ runLoad(const Options &opts)
 JsonValue
 loadReport(const std::string &path)
 {
-    std::ifstream in(path);
-    if (!in)
-        fatal("cannot open report: ", path);
-    std::stringstream buffer;
-    buffer << in.rdbuf();
     std::string error;
-    const JsonValue report = parseJson(buffer.str(), &error);
-    if (report.kind == JsonValue::Kind::Null && !error.empty())
-        fatal(path, ": ", error);
+    JsonValue report = parseJsonFile(path, &error);
+    if (!error.empty())
+        fatal(error);
     return report;
 }
 

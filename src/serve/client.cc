@@ -112,16 +112,22 @@ ServeClient::tryExchange(MsgType type, const std::string &payload,
     attemptCount++;
     if (fd < 0 && !connectNow(failure))
         return Attempt::Retriable;
-    if (!writeFrame(fd, type, payload)) {
+    const bool sent = writeFrame(fd, type, payload);
+    // A daemon at its connection cap writes an Overloaded notice and
+    // closes without reading. When that close beats the request
+    // write, the write fails but the notice still waits in the
+    // socket buffer, so a failed write reads one frame too.
+    MsgType got;
+    const FrameRead read_result =
+        readFrameDeadline(fd, got, reply, opts.attemptTimeoutMs);
+    if (!sent && (read_result != FrameRead::Ok ||
+                  got != MsgType::Overloaded)) {
         failure = "lost connection to icicled at '" + socketPath +
                   "' while sending a " +
                   std::string(msgTypeName(type)) + " request";
         disconnect();
         return Attempt::Retriable;
     }
-    MsgType got;
-    const FrameRead read_result =
-        readFrameDeadline(fd, got, reply, opts.attemptTimeoutMs);
     if (read_result != FrameRead::Ok) {
         // EOF (daemon restarted / injected reset), a torn or
         // CRC-failed frame, and an attempt timeout are all

@@ -106,41 +106,6 @@ readExact(std::ifstream &in, u64 offset, void *dst, u64 len)
     return ok;
 }
 
-/** Merge-union of sorted absolute intervals (start, end pairs). */
-std::vector<std::pair<u64, u64>>
-mergeIntervals(std::vector<std::pair<u64, u64>> spans)
-{
-    std::sort(spans.begin(), spans.end());
-    std::vector<std::pair<u64, u64>> merged;
-    for (const auto &[a, b] : spans) {
-        if (!merged.empty() && a <= merged.back().second)
-            merged.back().second = std::max(merged.back().second, b);
-        else
-            merged.emplace_back(a, b);
-    }
-    return merged;
-}
-
-/** Intersection of two sorted disjoint interval lists. */
-std::vector<std::pair<u64, u64>>
-intersectIntervals(const std::vector<std::pair<u64, u64>> &lhs,
-                   const std::vector<std::pair<u64, u64>> &rhs)
-{
-    std::vector<std::pair<u64, u64>> out;
-    std::size_t i = 0, j = 0;
-    while (i < lhs.size() && j < rhs.size()) {
-        const u64 a = std::max(lhs[i].first, rhs[j].first);
-        const u64 b = std::min(lhs[i].second, rhs[j].second);
-        if (a < b)
-            out.emplace_back(a, b);
-        if (lhs[i].second < rhs[j].second)
-            i++;
-        else
-            j++;
-    }
-    return out;
-}
-
 } // namespace
 
 const char *
@@ -719,6 +684,15 @@ StoreReader::requireIntact(u64 begin, u64 end, const char *what) const
     }
 }
 
+u64
+StoreReader::checkWindow(u64 begin, u64 end, const char *query) const
+{
+    const std::string what = std::string("StoreReader::") + query;
+    end = clampTraceWindow(totalCycles, begin, end, what.c_str());
+    requireIntact(begin, end, what.c_str());
+    return end;
+}
+
 u32
 StoreReader::blockOf(u64 cycle) const
 {
@@ -939,59 +913,6 @@ StoreReader::fieldCountsInWindow(u64 begin, u64 end,
     return counts;
 }
 
-TmaResult
-StoreReader::windowTma(u64 begin, u64 end, u32 core_width) const
-{
-    TmaParams params;
-    params.coreWidth = core_width;
-    return windowTma(begin, end, params);
-}
-
-TmaResult
-StoreReader::windowTma(u64 begin, u64 end,
-                       const TmaParams &params) const
-{
-    end = clampTraceWindow(totalCycles, begin, end,
-                           "StoreReader::windowTma");
-    requireIntact(begin, end, "StoreReader::windowTma");
-
-    static constexpr EventId kEvents[] = {
-        EventId::UopsRetired,      EventId::InstRetired,
-        EventId::UopsIssued,       EventId::InstIssued,
-        EventId::FetchBubbles,     EventId::Recovering,
-        EventId::BranchMispredict, EventId::Flush,
-        EventId::FenceRetired,     EventId::ICacheBlocked,
-        EventId::DCacheBlocked};
-    u64 mask = 0;
-    for (EventId event : kEvents)
-        mask |= traceSpec.fieldMask(event);
-    const std::vector<u64> fields =
-        fieldCountsInWindow(begin, end, mask);
-
-    TmaCounters counters;
-    counters.cycles = end - begin;
-    auto count_in = [&](EventId event) {
-        const u64 event_mask = traceSpec.fieldMask(event);
-        u64 total = 0;
-        for (u32 f = 0; f < fields.size(); f++)
-            total += event_mask >> f & 1 ? fields[f] : 0;
-        return total;
-    };
-    counters.retiredUops = count_in(EventId::UopsRetired) +
-                           count_in(EventId::InstRetired);
-    counters.issuedUops = count_in(EventId::UopsIssued) +
-                          count_in(EventId::InstIssued);
-    counters.fetchBubbles = count_in(EventId::FetchBubbles);
-    counters.recovering = count_in(EventId::Recovering);
-    counters.branchMispredicts = count_in(EventId::BranchMispredict);
-    counters.machineClears = count_in(EventId::Flush);
-    counters.fencesRetired = count_in(EventId::FenceRetired);
-    counters.icacheBlocked = count_in(EventId::ICacheBlocked);
-    counters.dcacheBlocked = count_in(EventId::DCacheBlocked);
-
-    return computeTma(counters, params);
-}
-
 std::vector<SignalRun>
 StoreReader::runsOfAny(EventId event) const
 {
@@ -1053,77 +974,6 @@ StoreReader::runsOfAny(EventId event) const
     if (in_run)
         runs.push_back(SignalRun{run_start, run_end - run_start});
     return runs;
-}
-
-RecoveryCdf
-StoreReader::recoveryCdf() const
-{
-    RecoveryCdf cdf;
-    for (const SignalRun &run : runsOfAny(EventId::Recovering))
-        cdf.lengths.push_back(run.length);
-    std::sort(cdf.lengths.begin(), cdf.lengths.end());
-    return cdf;
-}
-
-OverlapBound
-StoreReader::overlapUpperBound(u32 core_width, u32 pad) const
-{
-    OverlapBound result;
-    const u64 cycles = totalCycles;
-    result.cycles = cycles;
-    if (cycles == 0)
-        return result;
-
-    const std::vector<SignalRun> refills =
-        runsOfAny(EventId::ICacheBlocked);
-    const std::vector<SignalRun> recoveries =
-        runsOfAny(EventId::Recovering);
-
-    auto padded = [&](const std::vector<SignalRun> &signal_runs) {
-        std::vector<std::pair<u64, u64>> spans;
-        spans.reserve(signal_runs.size());
-        for (const SignalRun &run : signal_runs) {
-            const u64 a = run.start > pad ? run.start - pad : 0;
-            const u64 z =
-                std::min(cycles, run.start + run.length + pad);
-            spans.emplace_back(a, z);
-        }
-        return mergeIntervals(std::move(spans));
-    };
-
-    // Overlap windows are where a padded refill window and a padded
-    // recovery window coincide — interval intersection instead of
-    // the analyzer's per-cycle flag arrays.
-    const std::vector<std::pair<u64, u64>> overlap =
-        intersectIntervals(padded(refills), padded(recoveries));
-
-    u64 overlap_slots = 0;
-    for (const auto &[a, z] : overlap)
-        overlap_slots += countInWindow(EventId::FetchBubbles, a, z);
-    const u64 bubble_slots = countAllLanes(EventId::FetchBubbles);
-    u64 recovering_cycles = 0;
-    for (const SignalRun &run : recoveries)
-        recovering_cycles += run.length;
-
-    const double total_slots =
-        static_cast<double>(cycles) * core_width;
-    result.overlapSlots = overlap_slots;
-    result.overlapFraction =
-        static_cast<double>(overlap_slots) / total_slots;
-    result.frontendFraction =
-        static_cast<double>(bubble_slots) / total_slots;
-    result.badSpecFraction =
-        static_cast<double>(recovering_cycles) * core_width /
-        total_slots;
-    if (result.frontendFraction > 0) {
-        result.frontendPerturbation =
-            result.overlapFraction / result.frontendFraction;
-    }
-    if (result.badSpecFraction > 0) {
-        result.badSpecPerturbation =
-            result.overlapFraction / result.badSpecFraction;
-    }
-    return result;
 }
 
 void

@@ -226,7 +226,9 @@ struct StoreDamage
 };
 
 /**
- * Random-access reader over an .icst file. Footer metadata (per-field
+ * Random-access reader over an .icst file, and the store engine of the
+ * shared temporal TMA queries (windowTma, recoveryCdf,
+ * overlapUpperBound; trace/queries.hh). Footer metadata (per-field
  * popcounts, first/last-set cycles) is loaded once at open; queries
  * that full blocks can answer from metadata never decode a plane.
  * blocksDecoded() counts the blocks whose planes were actually
@@ -236,8 +238,9 @@ struct StoreDamage
  * StoreOpen::Salvage recovers every CRC-valid block: whole-store
  * aggregates (count/countAllLanes/runsOfAny/recoveryCdf) skip
  * damaged blocks, window queries over intact ranges work normally,
- * and window queries touching a damaged range throw
- * StoreErrorKind::DamagedWindow — consult damage() for the mask.
+ * and window queries touching a damaged range — overlapUpperBound
+ * counts as one over the whole store — throw
+ * StoreErrorKind::DamagedWindow; consult damage() for the mask.
  *
  * Const queries are safe to call from multiple threads on one
  * reader: the file handle and the small decode cache (the
@@ -250,14 +253,14 @@ struct StoreDamage
  * two clients' windows on either side of one block boundary, do not
  * evict each other.
  */
-class StoreReader
+class StoreReader final : public TraceQueries
 {
   public:
     explicit StoreReader(const std::string &path,
                          StoreOpen open = StoreOpen::Strict);
 
-    const TraceSpec &spec() const { return traceSpec; }
-    u64 numCycles() const { return totalCycles; }
+    const TraceSpec &spec() const override { return traceSpec; }
+    u64 numCycles() const override { return totalCycles; }
     u32 blockCycles() const { return cyclesPerBlock; }
     u32 numBlocks() const
     { return static_cast<u32>(blocks.size()); }
@@ -286,27 +289,11 @@ class StoreReader
     u64 countInWindow(EventId event, u64 begin, u64 end) const;
 
     /**
-     * Temporal TMA over a window, matching
-     * TraceAnalyzer::windowTma exactly (same validation, same
-     * Table II model) while decoding only boundary blocks.
-     */
-    TmaResult windowTma(u64 begin, u64 end, u32 core_width) const;
-    /** As above, with full model-parameter control (TMA-005 flag). */
-    TmaResult windowTma(u64 begin, u64 end,
-                        const TmaParams &params) const;
-
-    /**
      * Contiguous runs where any traced lane of the event is high.
      * All-zero blocks (footer popcount 0) extend the current gap and
      * all-one blocks extend the current run without decoding.
      */
-    std::vector<SignalRun> runsOfAny(EventId event) const;
-
-    /** Fig. 8b recovery CDF, matching TraceAnalyzer::recoveryCdf. */
-    RecoveryCdf recoveryCdf() const;
-
-    /** Table VI overlap bound, matching TraceAnalyzer exactly. */
-    OverlapBound overlapUpperBound(u32 core_width, u32 pad = 50) const;
+    std::vector<SignalRun> runsOfAny(EventId event) const override;
 
     /** CRC-check every block payload; StoreError on corruption. */
     void verify() const;
@@ -388,12 +375,15 @@ class StoreReader
     u64 countPlaneInRange(const std::vector<SetInterval> &plane,
                           u32 lo, u32 hi) const;
     /**
-     * Per-field set-cycle counts over [begin, end) (in range, intact)
-     * for the fields in `field_mask`, in one pass over the blocks:
-     * each boundary block decodes at most once per call.
+     * One pass over the window's blocks: covered blocks answer from
+     * footer popcounts, and each boundary block decodes at most once
+     * per call.
      */
     std::vector<u64> fieldCountsInWindow(u64 begin, u64 end,
-                                         u64 field_mask) const;
+                                         u64 field_mask) const override;
+    /** clampTraceWindow plus requireIntact, named StoreReader::<query>. */
+    u64 checkWindow(u64 begin, u64 end,
+                    const char *query) const override;
     /** Block index containing the cycle (binary search). */
     u32 blockOf(u64 cycle) const;
 

@@ -4,7 +4,6 @@
 #include <bit>
 #include <cstdio>
 #include <fstream>
-#include <map>
 #include <sstream>
 
 #include "common/crc32.hh"
@@ -295,34 +294,9 @@ clampTraceWindow(u64 num_cycles, u64 begin, u64 end, const char *what)
 // ------------------------------------------------------ TraceAnalyzer
 
 std::vector<SignalRun>
-TraceAnalyzer::runsOf(EventId event, u8 lane) const
+TraceAnalyzer::runsOfMask(u64 mask) const
 {
     std::vector<SignalRun> runs;
-    const int field = trace.spec().indexOf(event, lane);
-    if (field < 0)
-        return runs;
-    bool in_run = false;
-    u64 start = 0;
-    for (u64 c = 0; c < trace.numCycles(); c++) {
-        const bool high = trace.bit(c, static_cast<u32>(field));
-        if (high && !in_run) {
-            in_run = true;
-            start = c;
-        } else if (!high && in_run) {
-            runs.push_back(SignalRun{start, c - start});
-            in_run = false;
-        }
-    }
-    if (in_run)
-        runs.push_back(SignalRun{start, trace.numCycles() - start});
-    return runs;
-}
-
-std::vector<SignalRun>
-TraceAnalyzer::runsOfAny(EventId event) const
-{
-    std::vector<SignalRun> runs;
-    const u64 mask = trace.spec().fieldMask(event);
     if (mask == 0)
         return runs;
     const std::vector<u64> &words = trace.raw();
@@ -339,167 +313,44 @@ TraceAnalyzer::runsOfAny(EventId event) const
         }
     }
     if (in_run)
-        runs.push_back(SignalRun{start, trace.numCycles() - start});
+        runs.push_back(SignalRun{start, words.size() - start});
     return runs;
 }
 
-OverlapBound
-TraceAnalyzer::overlapUpperBound(u32 core_width, u32 pad) const
+std::vector<SignalRun>
+TraceAnalyzer::runsOf(EventId event, u8 lane) const
 {
-    OverlapBound result;
-    const u64 cycles = trace.numCycles();
-    result.cycles = cycles;
-    if (cycles == 0)
-        return result;
-
-    // I$-refill activity: the I$-blocked signal (refill in progress),
-    // seeded by I$-miss edges. OR across every traced lane so
-    // multi-lane bundles are not undercounted.
-    std::vector<SignalRun> refills = runsOfAny(EventId::ICacheBlocked);
-    std::vector<SignalRun> recoveries = runsOfAny(EventId::Recovering);
-
-    // Mark cycles inside a padded refill window and inside a padded
-    // recovery window; overlap cycles are where both hold.
-    std::vector<u8> in_refill(cycles, 0);
-    std::vector<u8> in_recovery(cycles, 0);
-    auto mark = [&](const std::vector<SignalRun> &runs,
-                    std::vector<u8> &flags) {
-        for (const SignalRun &run : runs) {
-            const u64 begin = run.start > pad ? run.start - pad : 0;
-            const u64 end =
-                std::min(cycles, run.start + run.length + pad);
-            for (u64 c = begin; c < end; c++)
-                flags[c] = 1;
-        }
-    };
-    mark(refills, in_refill);
-    mark(recoveries, in_recovery);
-
-    // Any fetch-bubble slot inside an overlap window could count
-    // toward either Frontend or Bad Speculation. Field masks are
-    // resolved once; the loop scans the packed words directly.
-    const u64 bubble_mask =
-        trace.spec().fieldMask(EventId::FetchBubbles);
-    const u64 recovering_mask =
-        trace.spec().fieldMask(EventId::Recovering);
-    const std::vector<u64> &words = trace.raw();
-    u64 overlap_slots = 0;
-    u64 bubble_slots = 0;
-    u64 recovering_cycles = 0;
-    for (u64 c = 0; c < cycles; c++) {
-        const u64 word = words[c];
-        const u32 bubbles =
-            static_cast<u32>(std::popcount(word & bubble_mask));
-        bubble_slots += bubbles;
-        if (word & recovering_mask)
-            recovering_cycles++;
-        if (in_refill[c] && in_recovery[c])
-            overlap_slots += bubbles;
-    }
-
-    const double total_slots =
-        static_cast<double>(cycles) * core_width;
-    result.overlapSlots = overlap_slots;
-    result.overlapFraction =
-        static_cast<double>(overlap_slots) / total_slots;
-    result.frontendFraction =
-        static_cast<double>(bubble_slots) / total_slots;
-    result.badSpecFraction =
-        static_cast<double>(recovering_cycles) * core_width /
-        total_slots;
-    if (result.frontendFraction > 0) {
-        result.frontendPerturbation =
-            result.overlapFraction / result.frontendFraction;
-    }
-    if (result.badSpecFraction > 0) {
-        result.badSpecPerturbation =
-            result.overlapFraction / result.badSpecFraction;
-    }
-    return result;
+    const int field = trace.spec().indexOf(event, lane);
+    return runsOfMask(field < 0 ? 0 : 1ull << field);
 }
 
-RecoveryCdf
-TraceAnalyzer::recoveryCdf() const
+std::vector<SignalRun>
+TraceAnalyzer::runsOfAny(EventId event) const
 {
-    RecoveryCdf cdf;
-    for (const SignalRun &run : runsOfAny(EventId::Recovering))
-        cdf.lengths.push_back(run.length);
-    std::sort(cdf.lengths.begin(), cdf.lengths.end());
-    return cdf;
+    return runsOfMask(trace.spec().fieldMask(event));
+}
+
+std::vector<u64>
+TraceAnalyzer::fieldCountsInWindow(u64 begin, u64 end,
+                                   u64 field_mask) const
+{
+    std::vector<u64> counts(trace.spec().numFields(), 0);
+    if (field_mask == 0)
+        return counts;
+    const std::vector<u64> &words = trace.raw();
+    for (u64 c = begin; c < end; c++) {
+        for (u64 set = words[c] & field_mask; set != 0; set &= set - 1)
+            counts[static_cast<u32>(std::countr_zero(set))]++;
+    }
+    return counts;
 }
 
 u64
-RecoveryCdf::percentile(double fraction) const
+TraceAnalyzer::checkWindow(u64 begin, u64 end, const char *query) const
 {
-    if (lengths.empty())
-        return 0;
-    const u64 index = static_cast<u64>(
-        fraction * static_cast<double>(lengths.size() - 1) + 0.5);
-    return lengths[std::min<u64>(index, lengths.size() - 1)];
-}
-
-u64
-RecoveryCdf::mode() const
-{
-    if (lengths.empty())
-        return 0;
-    std::map<u64, u64> histogram;
-    for (u64 length : lengths)
-        histogram[length]++;
-    u64 best = lengths[0];
-    u64 best_count = 0;
-    for (const auto &[length, count] : histogram) {
-        if (count > best_count) {
-            best = length;
-            best_count = count;
-        }
-    }
-    return best;
-}
-
-TmaResult
-TraceAnalyzer::windowTma(u64 begin, u64 end, u32 core_width) const
-{
-    TmaParams params;
-    params.coreWidth = core_width;
-    return windowTma(begin, end, params);
-}
-
-TmaResult
-TraceAnalyzer::windowTma(u64 begin, u64 end,
-                         const TmaParams &params) const
-{
-    end = clampTraceWindow(trace.numCycles(), begin, end,
-                           "TraceAnalyzer::windowTma");
-
-    TmaCounters counters;
-    counters.cycles = end - begin;
-    // Resolve each event's field mask once, then count set bits in
-    // the packed words: O(events x cycles) with a popcount per cycle
-    // instead of a linear indexOf() per field per cycle.
-    const std::vector<u64> &words = trace.raw();
-    auto count_in = [&](EventId event) {
-        const u64 mask = trace.spec().fieldMask(event);
-        if (mask == 0)
-            return u64{0};
-        u64 total = 0;
-        for (u64 c = begin; c < end; c++)
-            total += static_cast<u64>(std::popcount(words[c] & mask));
-        return total;
-    };
-    counters.retiredUops = count_in(EventId::UopsRetired) +
-                           count_in(EventId::InstRetired);
-    counters.issuedUops = count_in(EventId::UopsIssued) +
-                          count_in(EventId::InstIssued);
-    counters.fetchBubbles = count_in(EventId::FetchBubbles);
-    counters.recovering = count_in(EventId::Recovering);
-    counters.branchMispredicts = count_in(EventId::BranchMispredict);
-    counters.machineClears = count_in(EventId::Flush);
-    counters.fencesRetired = count_in(EventId::FenceRetired);
-    counters.icacheBlocked = count_in(EventId::ICacheBlocked);
-    counters.dcacheBlocked = count_in(EventId::DCacheBlocked);
-
-    return computeTma(counters, params);
+    const std::string what = std::string("TraceAnalyzer::") + query;
+    return clampTraceWindow(trace.numCycles(), begin, end,
+                            what.c_str());
 }
 
 std::string

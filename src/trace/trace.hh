@@ -21,6 +21,7 @@
 #include "core/core.hh"
 #include "pmu/event.hh"
 #include "tma/tma.hh"
+#include "trace/queries.hh"
 
 namespace icicle
 {
@@ -188,49 +189,12 @@ u64 clampTraceWindow(u64 num_cycles, u64 begin, u64 end,
 // Temporal TMA analysis
 // --------------------------------------------------------------------
 
-/** A contiguous run of cycles where a signal was high. */
-struct SignalRun
-{
-    u64 start = 0;
-    u64 length = 0;
-};
-
-/** Result of the Table VI overlap upper-bound analysis. */
-struct OverlapBound
-{
-    /** Cycles analyzed. */
-    u64 cycles = 0;
-    /** Slots in windows where I$-refill and Recovering overlap. */
-    u64 overlapSlots = 0;
-    /** Fraction of total slots that may be misclassified. */
-    double overlapFraction = 0;
-    /** Frontend fraction measured from the trace. */
-    double frontendFraction = 0;
-    /** Bad-speculation (recovering) fraction from the trace. */
-    double badSpecFraction = 0;
-    /** Worst-case perturbation of the Frontend class (±). */
-    double frontendPerturbation = 0;
-    /** Worst-case perturbation of Bad Speculation (±). */
-    double badSpecPerturbation = 0;
-};
-
-/** Cumulative distribution of recovery-sequence lengths (Fig. 8b). */
-struct RecoveryCdf
-{
-    /** Sorted sequence lengths. */
-    std::vector<u64> lengths;
-
-    u64 sequences() const
-    { return static_cast<u64>(lengths.size()); }
-    /** Length at a given cumulative fraction (0..1). */
-    u64 percentile(double fraction) const;
-    /** Most common length (the paper finds 4). */
-    u64 mode() const;
-    u64 max() const { return lengths.empty() ? 0 : lengths.back(); }
-};
-
-/** The trace analyzer: applies temporal TMA to raw trace data. */
-class TraceAnalyzer
+/**
+ * The in-memory trace engine: the shared temporal TMA queries
+ * (queries.hh) over a Trace's packed words, plus per-lane runs and
+ * the Fig. 3 dot plot.
+ */
+class TraceAnalyzer final : public TraceQueries
 {
   public:
     explicit TraceAnalyzer(const Trace &trace) : trace(trace) {}
@@ -238,39 +202,7 @@ class TraceAnalyzer
     /** Contiguous high-runs of a signal. */
     std::vector<SignalRun> runsOf(EventId event, u8 lane = 0) const;
 
-    /**
-     * Contiguous runs where *any* traced lane of the event is high.
-     * Multi-lane bundles (e.g. Recovering traced per decode lane)
-     * must use this rather than lane 0 alone, or sequences that only
-     * assert on other lanes are silently dropped.
-     */
-    std::vector<SignalRun> runsOfAny(EventId event) const;
-
-    /**
-     * Table VI: scan for overlaps between I$-refill activity and
-     * Recovering using a rolling window padded by `pad` cycles; any
-     * fetch bubble inside such a window could belong to either class.
-     */
-    OverlapBound overlapUpperBound(u32 core_width, u32 pad = 50) const;
-
-    /** Fig. 8b: lengths of all Recovering sequences. */
-    RecoveryCdf recoveryCdf() const;
-
-    /**
-     * Temporal TMA over a cycle window: recompute counter values from
-     * trace bits and apply the Table II model. The window is
-     * validated with clampTraceWindow(): an empty window, a begin at
-     * or past the trace end, or a zero-cycle trace is a fatal()
-     * error, not a silently empty result.
-     */
-    TmaResult windowTma(u64 begin, u64 end, u32 core_width) const;
-
-    /**
-     * As above, with full model-parameter control (recovery length,
-     * TMA-005 paper-literal M_nf_r formula, ...).
-     */
-    TmaResult windowTma(u64 begin, u64 end,
-                        const TmaParams &params) const;
+    std::vector<SignalRun> runsOfAny(EventId event) const override;
 
     /**
      * Render a Fig. 3 style ASCII dot plot of the traced signals over
@@ -280,6 +212,16 @@ class TraceAnalyzer
     std::string plot(u64 begin, u64 end) const;
 
   private:
+    u64 numCycles() const override { return trace.numCycles(); }
+    const TraceSpec &spec() const override { return trace.spec(); }
+    std::vector<u64> fieldCountsInWindow(u64 begin, u64 end,
+                                         u64 field_mask) const override;
+    /** clampTraceWindow, named TraceAnalyzer::<query>. */
+    u64 checkWindow(u64 begin, u64 end,
+                    const char *query) const override;
+    /** Runs where any field in `mask` is high (none if mask is 0). */
+    std::vector<SignalRun> runsOfMask(u64 mask) const;
+
     const Trace &trace;
 };
 

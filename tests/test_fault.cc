@@ -487,6 +487,63 @@ TEST_F(FaultTest, BitFlipInAnyBlockIsIsolatedBySalvage)
     }
 }
 
+// ---- salvage: whole-store queries -----------------------------------
+
+/**
+ * The Table VI bound is a query over the whole store, so a damaged
+ * block refuses it wherever the padded overlap windows happen to
+ * fall, like a full-range windowTma. The recovery CDF is a
+ * whole-store aggregate: the damaged block reads as a gap.
+ */
+TEST_F(FaultTest, SalvagedOverlapBoundRefusesDamageCdfSkipsIt)
+{
+    const u64 kBlock = 64, kCycles = 5 * kBlock;
+    TraceSpec spec;
+    spec.addLane(EventId::FetchBubbles, 0);
+    spec.addLane(EventId::ICacheBlocked, 0);
+    spec.addLane(EventId::Recovering, 0);
+    Rng rng(61);
+    Trace trace(spec);
+    u64 word = 0;
+    for (u64 c = 0; c < kCycles; c++) {
+        if (rng.chance(1, 4))
+            word ^= 1;
+        if (rng.chance(1, 30))
+            word ^= 2;
+        if (rng.chance(1, 12))
+            word ^= 4;
+        trace.append(word);
+    }
+
+    for (u64 flipped = 0; flipped < 5; flipped++) {
+        SCOPED_TRACE("bitflip in block " + std::to_string(flipped));
+        ScratchFile file("overlap.icst");
+        setFaultSpec("seed=42,bitflip@store#" +
+                     std::to_string(flipped));
+        trace.toStore(file.path(), kBlock);
+        setFaultSpec("");
+        StoreReader reader(file.path(), StoreOpen::Salvage);
+        ASSERT_EQ(reader.damage().damaged.size(), 1u);
+        ASSERT_EQ(reader.damage().damaged[0].block, flipped);
+
+        for (u32 pad : {2u, 50u}) {
+            try {
+                reader.overlapUpperBound(2, pad);
+                FAIL() << "overlap bound over a damaged store, pad "
+                       << pad;
+            } catch (const StoreError &err) {
+                EXPECT_EQ(err.kind(), StoreErrorKind::DamagedWindow);
+            }
+        }
+
+        Trace survived(spec);
+        for (u64 c = 0; c < kCycles; c++)
+            survived.append(c / kBlock == flipped ? 0 : trace.raw()[c]);
+        EXPECT_EQ(reader.recoveryCdf().lengths,
+                  TraceAnalyzer(survived).recoveryCdf().lengths);
+    }
+}
+
 // ---- salvage: torn final block --------------------------------------
 
 TEST_F(FaultTest, TornFinalBlockRecoversEverythingBeforeIt)

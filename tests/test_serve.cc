@@ -15,6 +15,7 @@
 #include <filesystem>
 #include <functional>
 #include <fstream>
+#include <future>
 #include <memory>
 #include <sstream>
 #include <thread>
@@ -668,6 +669,62 @@ TEST(ServeEndToEnd, ConnectionCapShedsThenRecovers)
     EXPECT_GE(statsValue(stats, "shed_conns"), 3u);
     after.shutdown();
     daemon.join();
+}
+
+/**
+ * A capped daemon writes its Overloaded notice and closes without
+ * reading the request. When that close lands before the client's
+ * request write, the write fails (EPIPE), yet the notice is waiting
+ * in the client's socket buffer: it must count as a shed, every
+ * attempt. A stub listener makes the ordering deterministic.
+ */
+TEST(ServeClientRetry, ShedNoticeBeforeRequestWriteIsCounted)
+{
+    TempDir dir("serve_shed_before_write");
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    const std::string path = dir.path + "/stub.sock";
+    std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+    const int listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    ASSERT_GE(listener, 0);
+    ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr *>(&addr),
+                     sizeof(addr)),
+              0);
+    ASSERT_EQ(::listen(listener, 4), 0);
+
+    // The client connects through the listen backlog before the stub
+    // runs, so nothing below can throw past the unjoined stub thread.
+    ClientOptions copts;
+    copts.maxRetries = 2;
+    copts.backoffBaseMs = 1;
+    copts.backoffCapMs = 2;
+    ServeClient client(path, copts);
+
+    std::promise<void> first_closed;
+    std::thread stub([&] {
+        OverloadNotice notice;
+        notice.retryAfterMs = 1;
+        notice.reason = "conns";
+        for (bool first = true;; first = false) {
+            const int cfd = ::accept(listener, nullptr, nullptr);
+            if (cfd < 0)
+                return; // listener shut down
+            writeFrame(cfd, MsgType::Overloaded,
+                       encodeOverloadNotice(notice));
+            ::close(cfd);
+            if (first)
+                first_closed.set_value();
+        }
+    });
+    // The notice is written and the connection closed before ping()
+    // sends its request.
+    first_closed.get_future().wait();
+    EXPECT_THROW(client.ping(), FatalError);
+    EXPECT_EQ(client.attempts(), 3u);
+    EXPECT_EQ(client.shedsSeen(), client.attempts());
+    ::shutdown(listener, SHUT_RDWR);
+    stub.join();
+    ::close(listener);
 }
 
 /**

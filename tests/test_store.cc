@@ -3,18 +3,21 @@
  * icestore tests: bit-identical roundtrips across bundle shapes and
  * block geometries, corruption detection (block CRCs, footer index,
  * truncation), metadata-only query behaviour (popcount queries never
- * decode a block), the analyzer-equivalence property test (randomized
- * bursty traces and windows, 100+ seeds), streaming capture
+ * decode a block), the engine-equivalence property test (the store
+ * and the in-memory analyzer against a per-cycle reference over
+ * randomized bursty traces and windows, 100+ seeds), streaming capture
  * equivalence, and the bounded-memory guarantee of the streaming
  * path.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstdio>
 #include <fstream>
 #include <gtest/gtest.h>
 #include <thread>
+#include <utility>
 
 #include "boom/boom.hh"
 #include "common/logging.hh"
@@ -331,7 +334,137 @@ TEST(StoreReader, ConcurrentQueriesAreThreadSafe)
     EXPECT_GT(reader.blocksDecoded(), 0u);
 }
 
-// ---- analyzer equivalence (property test) ---------------------------
+// ---- per-cycle reference --------------------------------------------
+//
+// Per-cycle reference algorithms: a run scan, popcounts, and flag
+// arrays for the Table VI overlap windows. Slow and obviously right,
+// they check both engines independently of the query layer the two
+// share.
+
+std::vector<SignalRun>
+referenceRunsOfAny(const Trace &trace, EventId event)
+{
+    std::vector<SignalRun> runs;
+    bool in_run = false;
+    u64 start = 0;
+    for (u64 c = 0; c < trace.numCycles(); c++) {
+        bool high = false;
+        for (u32 f = 0; f < trace.spec().numFields(); f++)
+            high |= trace.spec().fields[f].event == event &&
+                    trace.bit(c, f);
+        if (high && !in_run) {
+            in_run = true;
+            start = c;
+        } else if (!high && in_run) {
+            runs.push_back(SignalRun{start, c - start});
+            in_run = false;
+        }
+    }
+    if (in_run)
+        runs.push_back(SignalRun{start, trace.numCycles() - start});
+    return runs;
+}
+
+/** Set bits of every traced lane of the event in cycle c. */
+u64
+referenceLanesHigh(const Trace &trace, u64 c, EventId event)
+{
+    u64 high = 0;
+    for (u32 f = 0; f < trace.spec().numFields(); f++)
+        high += trace.spec().fields[f].event == event && trace.bit(c, f);
+    return high;
+}
+
+TmaResult
+referenceWindowTma(const Trace &trace, u64 begin, u64 end, u32 width)
+{
+    end = std::min(end, trace.numCycles());
+    auto count_in = [&](EventId event) {
+        u64 total = 0;
+        for (u64 c = begin; c < end; c++)
+            total += referenceLanesHigh(trace, c, event);
+        return total;
+    };
+    TmaCounters counters;
+    counters.cycles = end - begin;
+    counters.retiredUops = count_in(EventId::UopsRetired) +
+                           count_in(EventId::InstRetired);
+    counters.issuedUops = count_in(EventId::UopsIssued) +
+                          count_in(EventId::InstIssued);
+    counters.fetchBubbles = count_in(EventId::FetchBubbles);
+    counters.recovering = count_in(EventId::Recovering);
+    counters.branchMispredicts = count_in(EventId::BranchMispredict);
+    counters.machineClears = count_in(EventId::Flush);
+    counters.fencesRetired = count_in(EventId::FenceRetired);
+    counters.icacheBlocked = count_in(EventId::ICacheBlocked);
+    counters.dcacheBlocked = count_in(EventId::DCacheBlocked);
+    TmaParams params;
+    params.coreWidth = width;
+    return computeTma(counters, params);
+}
+
+RecoveryCdf
+referenceRecoveryCdf(const Trace &trace)
+{
+    RecoveryCdf cdf;
+    for (const SignalRun &run :
+         referenceRunsOfAny(trace, EventId::Recovering))
+        cdf.lengths.push_back(run.length);
+    std::sort(cdf.lengths.begin(), cdf.lengths.end());
+    return cdf;
+}
+
+OverlapBound
+referenceOverlapUpperBound(const Trace &trace, u32 width, u32 pad)
+{
+    OverlapBound result;
+    const u64 cycles = trace.numCycles();
+    result.cycles = cycles;
+    if (cycles == 0)
+        return result;
+    // Mark cycles inside a padded refill window and inside a padded
+    // recovery window; overlap cycles are where both hold.
+    std::vector<u8> in_refill(cycles, 0);
+    std::vector<u8> in_recovery(cycles, 0);
+    auto mark = [&](EventId event, std::vector<u8> &flags) {
+        for (const SignalRun &run : referenceRunsOfAny(trace, event)) {
+            const u64 begin = run.start > pad ? run.start - pad : 0;
+            const u64 end =
+                std::min(cycles, run.start + run.length + pad);
+            for (u64 c = begin; c < end; c++)
+                flags[c] = 1;
+        }
+    };
+    mark(EventId::ICacheBlocked, in_refill);
+    mark(EventId::Recovering, in_recovery);
+    u64 overlap_slots = 0, bubble_slots = 0, recovering_cycles = 0;
+    for (u64 c = 0; c < cycles; c++) {
+        const u64 bubbles =
+            referenceLanesHigh(trace, c, EventId::FetchBubbles);
+        bubble_slots += bubbles;
+        if (referenceLanesHigh(trace, c, EventId::Recovering))
+            recovering_cycles++;
+        if (in_refill[c] && in_recovery[c])
+            overlap_slots += bubbles;
+    }
+    const double total_slots = static_cast<double>(cycles) * width;
+    result.overlapSlots = overlap_slots;
+    result.overlapFraction =
+        static_cast<double>(overlap_slots) / total_slots;
+    result.frontendFraction =
+        static_cast<double>(bubble_slots) / total_slots;
+    result.badSpecFraction =
+        static_cast<double>(recovering_cycles) * width / total_slots;
+    if (result.frontendFraction > 0)
+        result.frontendPerturbation =
+            result.overlapFraction / result.frontendFraction;
+    if (result.badSpecFraction > 0)
+        result.badSpecPerturbation =
+            result.overlapFraction / result.badSpecFraction;
+    return result;
+}
+
+// ---- engine equivalence (property test) -----------------------------
 
 void
 expectTmaEqual(const TmaResult &a, const TmaResult &b)
@@ -350,6 +483,29 @@ expectTmaEqual(const TmaResult &a, const TmaResult &b)
     EXPECT_EQ(a.memBound, b.memBound);
     EXPECT_EQ(a.ipc, b.ipc);
     EXPECT_EQ(a.totalSlots, b.totalSlots);
+}
+
+void
+expectRunsEqual(const std::vector<SignalRun> &got,
+                const std::vector<SignalRun> &expect)
+{
+    ASSERT_EQ(got.size(), expect.size());
+    for (std::size_t r = 0; r < got.size(); r++) {
+        EXPECT_EQ(got[r].start, expect[r].start);
+        EXPECT_EQ(got[r].length, expect[r].length);
+    }
+}
+
+void
+expectBoundEqual(const OverlapBound &got, const OverlapBound &expect)
+{
+    EXPECT_EQ(got.cycles, expect.cycles);
+    EXPECT_EQ(got.overlapSlots, expect.overlapSlots);
+    EXPECT_EQ(got.overlapFraction, expect.overlapFraction);
+    EXPECT_EQ(got.frontendFraction, expect.frontendFraction);
+    EXPECT_EQ(got.badSpecFraction, expect.badSpecFraction);
+    EXPECT_EQ(got.frontendPerturbation, expect.frontendPerturbation);
+    EXPECT_EQ(got.badSpecPerturbation, expect.badSpecPerturbation);
 }
 
 TEST(StoreReader, MatchesInMemoryAnalyzerOverRandomizedSeeds)
@@ -371,8 +527,11 @@ TEST(StoreReader, MatchesInMemoryAnalyzerOverRandomizedSeeds)
         const u64 begin = rng.below(cycles - 1);
         const u64 end = begin + 1 + rng.below(cycles - begin);
         const u32 width = 1 + static_cast<u32>(rng.below(4));
-        expectTmaEqual(reader.windowTma(begin, end, width),
-                       analyzer.windowTma(begin, end, width));
+        const TmaResult expect_tma =
+            referenceWindowTma(trace, begin, end, width);
+        expectTmaEqual(reader.windowTma(begin, end, width), expect_tma);
+        expectTmaEqual(analyzer.windowTma(begin, end, width),
+                       expect_tma);
 
         // Whole-trace counters per traced field.
         for (const TraceField &field : trace.spec().fields) {
@@ -381,34 +540,23 @@ TEST(StoreReader, MatchesInMemoryAnalyzerOverRandomizedSeeds)
         }
 
         // Run detection across lanes (block stitching included).
-        const auto expect_runs = analyzer.runsOfAny(
-            EventId::Recovering);
-        const auto got_runs = reader.runsOfAny(EventId::Recovering);
-        ASSERT_EQ(got_runs.size(), expect_runs.size());
-        for (std::size_t r = 0; r < got_runs.size(); r++) {
-            EXPECT_EQ(got_runs[r].start, expect_runs[r].start);
-            EXPECT_EQ(got_runs[r].length, expect_runs[r].length);
-        }
+        const auto expect_runs =
+            referenceRunsOfAny(trace, EventId::Recovering);
+        expectRunsEqual(reader.runsOfAny(EventId::Recovering),
+                        expect_runs);
+        expectRunsEqual(analyzer.runsOfAny(EventId::Recovering),
+                        expect_runs);
 
         // Recovery CDF and Table VI overlap bound.
-        EXPECT_EQ(reader.recoveryCdf().lengths,
-                  analyzer.recoveryCdf().lengths);
+        const RecoveryCdf expect_cdf = referenceRecoveryCdf(trace);
+        EXPECT_EQ(reader.recoveryCdf().lengths, expect_cdf.lengths);
+        EXPECT_EQ(analyzer.recoveryCdf().lengths, expect_cdf.lengths);
         const OverlapBound expect_bound =
-            analyzer.overlapUpperBound(width, 50);
-        const OverlapBound got_bound =
-            reader.overlapUpperBound(width, 50);
-        EXPECT_EQ(got_bound.cycles, expect_bound.cycles);
-        EXPECT_EQ(got_bound.overlapSlots, expect_bound.overlapSlots);
-        EXPECT_EQ(got_bound.overlapFraction,
-                  expect_bound.overlapFraction);
-        EXPECT_EQ(got_bound.frontendFraction,
-                  expect_bound.frontendFraction);
-        EXPECT_EQ(got_bound.badSpecFraction,
-                  expect_bound.badSpecFraction);
-        EXPECT_EQ(got_bound.frontendPerturbation,
-                  expect_bound.frontendPerturbation);
-        EXPECT_EQ(got_bound.badSpecPerturbation,
-                  expect_bound.badSpecPerturbation);
+            referenceOverlapUpperBound(trace, width, 50);
+        expectBoundEqual(reader.overlapUpperBound(width, 50),
+                         expect_bound);
+        expectBoundEqual(analyzer.overlapUpperBound(width, 50),
+                         expect_bound);
     }
 }
 
@@ -472,19 +620,21 @@ TEST(StoreReader, MatchesAnalyzerOnRealBoomTrace)
     StoreReader reader(file.path());
     TraceAnalyzer analyzer(trace);
     const u64 n = trace.numCycles();
-    expectTmaEqual(reader.windowTma(0, n, core.coreWidth()),
-                   analyzer.windowTma(0, n, core.coreWidth()));
-    expectTmaEqual(
-        reader.windowTma(n / 3, 2 * n / 3, core.coreWidth()),
-        analyzer.windowTma(n / 3, 2 * n / 3, core.coreWidth()));
-    EXPECT_EQ(reader.recoveryCdf().lengths,
-              analyzer.recoveryCdf().lengths);
-    const OverlapBound a = analyzer.overlapUpperBound(
-        core.coreWidth());
-    const OverlapBound s = reader.overlapUpperBound(
-        core.coreWidth());
-    EXPECT_EQ(s.overlapSlots, a.overlapSlots);
-    EXPECT_EQ(s.overlapFraction, a.overlapFraction);
+    const u32 width = core.coreWidth();
+    for (const auto &[begin, end] :
+         {std::pair<u64, u64>{0, n}, {n / 3, 2 * n / 3}}) {
+        const TmaResult expect =
+            referenceWindowTma(trace, begin, end, width);
+        expectTmaEqual(reader.windowTma(begin, end, width), expect);
+        expectTmaEqual(analyzer.windowTma(begin, end, width), expect);
+    }
+    const RecoveryCdf expect_cdf = referenceRecoveryCdf(trace);
+    EXPECT_EQ(reader.recoveryCdf().lengths, expect_cdf.lengths);
+    EXPECT_EQ(analyzer.recoveryCdf().lengths, expect_cdf.lengths);
+    const OverlapBound expect_bound =
+        referenceOverlapUpperBound(trace, width, 50);
+    expectBoundEqual(reader.overlapUpperBound(width), expect_bound);
+    expectBoundEqual(analyzer.overlapUpperBound(width), expect_bound);
 }
 
 TEST(StoreReader, WindowValidationMatchesAnalyzer)

@@ -17,6 +17,7 @@
 
 #include "boom/boom.hh"
 #include "core/session.hh"
+#include "isa/builder.hh"
 #include "rocket/rocket.hh"
 #include "sweep/sweep.hh"
 #include "tma/tma.hh"
@@ -28,6 +29,37 @@ namespace bench
 {
 
 constexpr u64 kMaxCycles = 80'000'000;
+
+/**
+ * Mixed ALU/memory/branch loop that runs until the cycle cap: the
+ * fixed program of the simulator-throughput lanes (bench_selfprof,
+ * bench_sim_throughput).
+ */
+inline Program
+mixLoop()
+{
+    using namespace reg;
+    ProgramBuilder b("mix");
+    Label buf = b.space(8192);
+    Label loop = b.newLabel(), skip = b.newLabel();
+    b.la(s0, buf);
+    b.li(t2, 1'000'000'000); // effectively endless; capped by cycles
+    b.bind(loop);
+    b.andi(t0, t2, 1023);
+    b.slli(t0, t0, 3);
+    b.add(t1, s0, t0);
+    b.ld(t3, t1, 0);
+    b.add(t3, t3, t2);
+    b.sd(t3, t1, 0);
+    b.andi(t4, t2, 7);
+    b.beqz(t4, skip);
+    b.addi(t5, t5, 1);
+    b.bind(skip);
+    b.addi(t2, t2, -1);
+    b.bnez(t2, loop);
+    b.halt();
+    return b.build();
+}
 
 /**
  * Worker-pool width for sweep-driven benches: the machine's

@@ -26,9 +26,7 @@
 #include <sstream>
 #include <string>
 
-#include "boom/boom.hh"
-#include "isa/builder.hh"
-#include "rocket/rocket.hh"
+#include "bench_common.hh"
 #include "selfprof/selfprof.hh"
 #include "trace/trace.hh"
 
@@ -36,32 +34,6 @@ namespace
 {
 
 using namespace icicle;
-using namespace icicle::reg;
-
-Program
-mixLoop()
-{
-    ProgramBuilder b("mix");
-    Label buf = b.space(8192);
-    Label loop = b.newLabel(), skip = b.newLabel();
-    b.la(s0, buf);
-    b.li(t2, 1'000'000'000); // effectively endless; capped by cycles
-    b.bind(loop);
-    b.andi(t0, t2, 1023);
-    b.slli(t0, t0, 3);
-    b.add(t1, s0, t0);
-    b.ld(t3, t1, 0);
-    b.add(t3, t3, t2);
-    b.sd(t3, t1, 0);
-    b.andi(t4, t2, 7);
-    b.beqz(t4, skip);
-    b.addi(t5, t5, 1);
-    b.bind(skip);
-    b.addi(t2, t2, -1);
-    b.bnez(t2, loop);
-    b.halt();
-    return b.build();
-}
 
 struct LaneResult
 {
@@ -158,19 +130,19 @@ runLanes(const std::string &out_path, u64 sim_cycles)
     std::vector<LaneResult> lanes;
 
     {
-        RocketCore core(RocketConfig{}, mixLoop());
+        RocketCore core(RocketConfig{}, bench::mixLoop());
         lanes.push_back(measureLane(
             "rocket_mix", sim_cycles, profiler, core,
             [&core](u64 cycles) { core.run(cycles); }));
     }
     {
-        BoomCore core(BoomConfig::large(), mixLoop());
+        BoomCore core(BoomConfig::large(), bench::mixLoop());
         lanes.push_back(measureLane(
             "boom_large_mix", sim_cycles, profiler, core,
             [&core](u64 cycles) { core.run(cycles); }));
     }
     {
-        BoomCore core(BoomConfig::large(), mixLoop());
+        BoomCore core(BoomConfig::large(), bench::mixLoop());
         const TraceSpec spec = TraceSpec::tmaBundle(core);
         Trace trace(spec);
         lanes.push_back(measureLane(

@@ -13,44 +13,14 @@
 
 #include <chrono>
 
-#include "boom/boom.hh"
-#include "isa/builder.hh"
+#include "bench_common.hh"
 #include "perf/harness.hh"
-#include "rocket/rocket.hh"
-#include "sweep/sweep.hh"
 #include "trace/trace.hh"
-#include "workloads/workloads.hh"
 
 namespace
 {
 
 using namespace icicle;
-using namespace icicle::reg;
-
-Program
-mixLoop()
-{
-    ProgramBuilder b("mix");
-    Label buf = b.space(8192);
-    Label loop = b.newLabel(), skip = b.newLabel();
-    b.la(s0, buf);
-    b.li(t2, 1'000'000'000); // effectively endless; capped by cycles
-    b.bind(loop);
-    b.andi(t0, t2, 1023);
-    b.slli(t0, t0, 3);
-    b.add(t1, s0, t0);
-    b.ld(t3, t1, 0);
-    b.add(t3, t3, t2);
-    b.sd(t3, t1, 0);
-    b.andi(t4, t2, 7);
-    b.beqz(t4, skip);
-    b.addi(t5, t5, 1);
-    b.bind(skip);
-    b.addi(t2, t2, -1);
-    b.bnez(t2, loop);
-    b.halt();
-    return b.build();
-}
 
 /** Cycles to simulate before the timed region starts. */
 constexpr u64 kWarmupCycles = 10'000;
@@ -76,7 +46,7 @@ timedWarmup(Core &core, u64 cycles)
 void
 BM_Rocket(benchmark::State &state)
 {
-    RocketCore core(RocketConfig{}, mixLoop());
+    RocketCore core(RocketConfig{}, bench::mixLoop());
     const double warmup = timedWarmup(core, kWarmupCycles);
     for (auto _ : state) {
         core.run(state.range(0));
@@ -93,7 +63,7 @@ BM_BoomSize(benchmark::State &state)
 {
     const BoomConfig cfg =
         BoomConfig::allSizes()[static_cast<u64>(state.range(1))];
-    BoomCore core(cfg, mixLoop());
+    BoomCore core(cfg, bench::mixLoop());
     const double warmup = timedWarmup(core, kWarmupCycles);
     for (auto _ : state) {
         core.run(state.range(0));
@@ -111,7 +81,7 @@ BM_BoomWithHarness(benchmark::State &state)
 {
     BoomConfig cfg = BoomConfig::large();
     cfg.counterArch = CounterArch::Distributed;
-    BoomCore core(cfg, mixLoop());
+    BoomCore core(cfg, bench::mixLoop());
     PerfHarness harness(core);
     harness.addTmaEvents();
     const double warmup = timedWarmup(core, kWarmupCycles);
@@ -128,7 +98,7 @@ BM_BoomWithHarness(benchmark::State &state)
 void
 BM_BoomWithTracer(benchmark::State &state)
 {
-    BoomCore core(BoomConfig::large(), mixLoop());
+    BoomCore core(BoomConfig::large(), bench::mixLoop());
     const TraceSpec spec = TraceSpec::tmaBundle(core);
     // Trace construction (and its backing-store growth) is one-time
     // setup: hoist it so iterations measure capture cost only.

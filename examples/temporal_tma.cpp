@@ -1,8 +1,9 @@
 /**
  * @file
  * Trace-based (temporal) TMA: record a per-cycle microarchitectural
- * event trace, write it to disk, read it back, and analyze it — the
- * out-of-band path of Fig. 4 (TraceRV extension + trace analyzer).
+ * event trace, write it to disk as an .icst store, read it back, and
+ * analyze it — the out-of-band path of Fig. 4 (TraceRV extension +
+ * trace analyzer).
  *
  *   $ ./temporal_tma [workload] [trace-file]
  */
@@ -20,7 +21,7 @@ int
 main(int argc, char **argv)
 {
     const char *workload = argc > 1 ? argv[1] : "mergesort";
-    const char *path = argc > 2 ? argv[2] : "/tmp/icicle_example.trace";
+    const char *path = argc > 2 ? argv[2] : "/tmp/icicle_example.icst";
 
     try {
         BoomCore core(BoomConfig::large(), buildWorkload(workload));
@@ -34,9 +35,9 @@ main(int argc, char **argv)
         std::printf("captured %llu cycles\n",
                     static_cast<unsigned long long>(trace.numCycles()));
 
-        // Round-trip through the binary format (the DMA-driver data).
-        writeTrace(trace, path);
-        Trace loaded = readTrace(path);
+        // Round-trip through the block-indexed trace store.
+        trace.toStore(path);
+        Trace loaded = Trace::fromStore(path);
         std::printf("trace file: %s (%llu cycles loaded back)\n\n",
                     path,
                     static_cast<unsigned long long>(

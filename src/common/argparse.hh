@@ -21,6 +21,7 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 namespace icicle
 {
@@ -42,6 +43,12 @@ int unknownOption(const std::string &arg, const char *text);
 
 /** "FLAG needs a value" + usage on stderr; returns 2. */
 int missingValue(const std::string &flag, const char *text);
+
+/**
+ * Split a comma-separated flag value ("a, b,c") into its items,
+ * trimming surrounding spaces and tabs and dropping empty items.
+ */
+std::vector<std::string> splitList(const std::string &text);
 
 } // namespace cli
 } // namespace icicle

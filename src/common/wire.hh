@@ -3,7 +3,7 @@
  * Little-endian byte codec shared by every binary format in the
  * tree: the sweep journal records, the icicled request protocol, the
  * result-cache entries, the daemon<->worker pipe frames, and the
- * .icst and .trc trace writers. One implementation keeps their
+ * .icst trace store writer. One implementation keeps their
  * encodings trivially compatible (doubles always travel as raw bit
  * patterns, strings as u32 length + bytes) and gives each decoder
  * the same bounds-checked cursor, so a torn or hostile buffer

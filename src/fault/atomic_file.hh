@@ -2,12 +2,13 @@
  * @file
  * Crash-atomic file output.
  *
- * Every artifact the toolchain produces (.icst stores, .trc traces,
- * sweep CSV/JSON reports, salvage reports) is written through an
- * AtomicFile: bytes go to `path.tmp`, are fsync'd, and the tmp is
- * renamed over `path` (then the directory is fsync'd). A reader can
- * therefore never observe a partial artifact — it sees either the old
- * file or the complete new one, even across SIGKILL or power loss.
+ * Every artifact the toolchain produces (.icst stores, sweep
+ * CSV/JSON reports, salvage reports, icicled cache entries) is
+ * written through an AtomicFile: bytes go to `path.tmp`, are
+ * fsync'd, and the tmp is renamed over `path` (then the directory is
+ * fsync'd). A reader can therefore never observe a partial artifact —
+ * it sees either the old file or the complete new one, even across
+ * SIGKILL or power loss.
  *
  * The writer is also the enforcement point for fault injection: each
  * flush consults the global FaultPlan for its site, so short writes,
@@ -28,6 +29,13 @@
 
 namespace icicle
 {
+
+/**
+ * Full write(2) loop over `size` bytes, retrying on EINTR and short
+ * writes; returns false with errno set on failure. Shared by
+ * AtomicFile, the sweep journal, and the icicled frame writer.
+ */
+bool writeAll(int fd, const char *data, size_t size);
 
 /**
  * Buffered writer committing via tmp + fsync + rename. fatal()s (a

@@ -10,6 +10,7 @@
 
 #include "common/crc32.hh"
 #include "common/wire.hh"
+#include "fault/atomic_file.hh"
 #include "sweep/journal.hh"
 
 namespace icicle
@@ -17,22 +18,6 @@ namespace icicle
 
 namespace
 {
-
-bool
-writeAll(int fd, const char *data, size_t size)
-{
-    while (size > 0) {
-        const ssize_t n = ::write(fd, data, size);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        data += n;
-        size -= static_cast<size_t>(n);
-    }
-    return true;
-}
 
 using ProtoClock = std::chrono::steady_clock;
 
@@ -75,34 +60,6 @@ readAll(int fd, unsigned char *data, size_t size,
         got += static_cast<size_t>(n);
     }
     return 1;
-}
-
-void
-putTma(std::string &buf, const TmaResult &t)
-{
-    using namespace wire;
-    for (double v : {t.retiring, t.badSpeculation, t.frontend,
-                     t.backend, t.machineClears, t.branchMispredicts,
-                     t.resteers, t.recoveryBubbles, t.fetchLatency,
-                     t.pcResteer, t.coreBound, t.memBound,
-                     t.memBoundL2, t.memBoundDram, t.ipc})
-        putF64(buf, v);
-    put64(buf, t.totalSlots);
-    put64(buf, t.cycles);
-}
-
-void
-getTma(wire::Cursor &cur, TmaResult &t)
-{
-    for (double *v : {&t.retiring, &t.badSpeculation, &t.frontend,
-                      &t.backend, &t.machineClears,
-                      &t.branchMispredicts, &t.resteers,
-                      &t.recoveryBubbles, &t.fetchLatency,
-                      &t.pcResteer, &t.coreBound, &t.memBound,
-                      &t.memBoundL2, &t.memBoundDram, &t.ipc})
-        *v = cur.getF64();
-    t.totalSlots = cur.get64();
-    t.cycles = cur.get64();
 }
 
 } // namespace

@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "common/wire.hh"
 #include "sweep/sweep.hh"
 
 namespace icicle
@@ -41,6 +42,16 @@ constexpr u32 kJournalVersion = 1;
 
 /** Identity of a job list: any change invalidates old journals. */
 u32 sweepGridHash(const std::vector<SweepJob> &jobs);
+
+/**
+ * Bit-exact wire layout of one TmaResult: the 15 fractions from
+ * retiring to ipc as raw doubles, then totalSlots and cycles.
+ * encodeSweepResult embeds it, and so does the icicled WindowReply,
+ * so journals, cache entries and window replies share one layout.
+ */
+void putTma(std::string &buf, const TmaResult &tma);
+/** Read one putTma() layout; a short buffer clears `cur.ok`. */
+void getTma(wire::Cursor &cur, TmaResult &tma);
 
 /**
  * Bit-exact binary codec for one SweepResult (doubles as raw bit

@@ -8,9 +8,7 @@
 
 #include "common/crc32.hh"
 #include "common/logging.hh"
-#include "common/wire.hh"
 #include "core/dispatch.hh"
-#include "fault/atomic_file.hh"
 
 namespace icicle
 {
@@ -171,31 +169,6 @@ constexpr u32 kTraceMagic = 0x49434c54; // "ICLT"
 /** Version 2 appends a CRC32 of the cycle-record payload. */
 constexpr u32 kTraceVersion = 2;
 } // namespace
-
-void
-writeTrace(const Trace &trace, const std::string &path)
-{
-    // Crash-atomic: the .trc appears only once fully written.
-    AtomicFile out(path, FaultSite::TraceWrite);
-    std::string header;
-    wire::put32(header, kTraceMagic);
-    wire::put32(header, kTraceVersion);
-    wire::put32(header, trace.spec().numFields());
-    for (const TraceField &field : trace.spec().fields) {
-        wire::put32(header, static_cast<u32>(field.event));
-        wire::put32(header, field.lane);
-    }
-    wire::put64(header, trace.numCycles());
-    out.append(header);
-    const std::vector<u64> &words = trace.raw();
-    out.append(words.data(), words.size() * sizeof(u64));
-    Crc32 crc;
-    crc.update(words.data(), words.size() * sizeof(u64));
-    std::string trailer;
-    wire::put32(trailer, crc.value());
-    out.append(trailer);
-    out.commit();
-}
 
 Trace
 readTrace(const std::string &path)

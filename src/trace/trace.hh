@@ -168,12 +168,12 @@ class Trace
 Trace traceRun(Core &core, const TraceSpec &spec, u64 max_cycles);
 
 /**
- * Binary trace file I/O (the DMA-driver data format). writeTrace
- * appends a CRC32 of the cycle-record payload (format version 2);
- * readTrace verifies it and reports expected vs. actual cycle counts
- * on truncation. Version-1 files (no CRC) are still accepted.
+ * Read a legacy binary .trc trace (the DMA-driver data format), the
+ * input `icicle-trace pack` converts to .icst. Version-2 files end
+ * with a CRC32 of the cycle-record payload, which is verified;
+ * version-1 files (no CRC) are still accepted. Truncation reports
+ * expected vs. actual cycle counts.
  */
-void writeTrace(const Trace &trace, const std::string &path);
 Trace readTrace(const std::string &path);
 
 /**

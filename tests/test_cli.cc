@@ -25,6 +25,7 @@
 #include "store/store.hh"
 #include "sweep/sweep.hh"
 #include "trace/trace.hh"
+#include "trace_forge.hh"
 #include "workloads/workloads.hh"
 
 #ifndef ICICLE_TRACE_BIN
@@ -118,6 +119,36 @@ TEST(CliTrace, QueryOnRealStoreExitsZero)
                   " query fetch-bubbles " + quoted(store.path) +
                   " --window 0:1000"),
               0);
+}
+
+TEST(CliTrace, PackOfForgedTrcMatchesCapturedStore)
+{
+    // A legacy .trc of a run must pack into exactly the store that
+    // `capture` streams for the same run.
+    TempPath raw("cli_pack.trc");
+    TempPath packed("cli_pack_packed.icst");
+    TempPath captured("cli_pack_captured.icst");
+    constexpr u64 kCycles = 1'000'000;
+    std::unique_ptr<Core> core = makeSweepCore(
+        "rocket", CounterArch::AddWires, buildWorkload("vvadd"));
+    const Trace trace =
+        traceRun(*core, TraceSpec::tmaBundle(*core), kCycles);
+    ASSERT_TRUE(core->done()) << "vvadd must halt within the cap";
+    forgeTrace(trace, raw.path);
+
+    EXPECT_EQ(run(std::string(ICICLE_TRACE_BIN) + " pack " +
+                  quoted(raw.path) + " " + quoted(packed.path)),
+              0);
+    EXPECT_EQ(run(std::string(ICICLE_TRACE_BIN) +
+                  " capture --core rocket --workload vvadd"
+                  " --bundle tma --cycles " +
+                  std::to_string(kCycles) + " --store " +
+                  quoted(captured.path)),
+              0);
+    const std::string packed_bytes = slurp(packed.path);
+    ASSERT_FALSE(packed_bytes.empty());
+    EXPECT_TRUE(packed_bytes == slurp(captured.path))
+        << "pack(.trc) and capture --store disagree";
 }
 
 TEST(CliTrace, MissingFileExitsTwo)

@@ -116,22 +116,24 @@ TEST_F(FaultTest, MalformedSpecsAreFatal)
     EXPECT_THROW(setFaultSpec("short-write@nowhere#0"), FatalError);
     EXPECT_THROW(setFaultSpec("short-write@store#abc"), FatalError);
     EXPECT_THROW(setFaultSpec("fail@store#0"), FatalError);
+    // `trace` is not a site: nothing writes .trc files.
+    EXPECT_THROW(setFaultSpec("enospc@trace#0"), FatalError);
     // A failed reset leaves the plan disarmed, not half-armed.
     EXPECT_FALSE(faultPlan().active());
 }
 
 TEST_F(FaultTest, ClausesFireAtTheirOrdinalThenExpire)
 {
-    setFaultSpec("enospc@trace#2");
-    EXPECT_EQ(faultPlan().onWrite(FaultSite::TraceWrite),
+    setFaultSpec("enospc@journal#2");
+    EXPECT_EQ(faultPlan().onWrite(FaultSite::JournalWrite),
               FaultPlan::WriteAction::None); // op 0
     EXPECT_EQ(faultPlan().onWrite(FaultSite::StoreWrite),
               FaultPlan::WriteAction::None); // other site, op 0
-    EXPECT_EQ(faultPlan().onWrite(FaultSite::TraceWrite),
+    EXPECT_EQ(faultPlan().onWrite(FaultSite::JournalWrite),
               FaultPlan::WriteAction::None); // op 1
-    EXPECT_EQ(faultPlan().onWrite(FaultSite::TraceWrite),
+    EXPECT_EQ(faultPlan().onWrite(FaultSite::JournalWrite),
               FaultPlan::WriteAction::Enospc); // op 2: fires
-    EXPECT_EQ(faultPlan().onWrite(FaultSite::TraceWrite),
+    EXPECT_EQ(faultPlan().onWrite(FaultSite::JournalWrite),
               FaultPlan::WriteAction::None); // expired
 }
 

@@ -161,6 +161,100 @@ TEST(ServeProtocol, JobMessagesCarryBitExactResults)
               encodeSweepResult(reply.result));
 }
 
+/** Every TmaResult field distinct, so any reorder changes bytes. */
+TmaResult
+distinctTma()
+{
+    TmaResult t;
+    double v = 0.0625;
+    for (double *field : {&t.retiring, &t.badSpeculation, &t.frontend,
+                          &t.backend, &t.machineClears,
+                          &t.branchMispredicts, &t.resteers,
+                          &t.recoveryBubbles, &t.fetchLatency,
+                          &t.pcResteer, &t.coreBound, &t.memBound,
+                          &t.memBoundL2, &t.memBoundDram, &t.ipc}) {
+        *field = v;
+        v += 0.0625;
+    }
+    t.totalSlots = 0x1122;
+    t.cycles = 0x3344;
+    return t;
+}
+
+std::string
+toHex(const std::string &bytes)
+{
+    std::string hex;
+    char buf[3];
+    for (unsigned char b : bytes) {
+        std::snprintf(buf, sizeof(buf), "%02x", b);
+        hex += buf;
+    }
+    return hex;
+}
+
+TEST(ServeProtocol, TmaWireLayoutMatchesGoldenBytes)
+{
+    // Journals and cache entries on disk, and window replies on the
+    // wire, depend on these exact bytes. A round trip cannot catch a
+    // reorder made symmetrically in encoder and decoder; this can.
+    SweepResult r;
+    r.index = 5;
+    r.status = SweepStatus::Ok;
+    r.attempts = 2;
+    r.cycles = 0x0abc;
+    r.finished = true;
+    r.exitCode = 7;
+    r.ipc = 1.5;
+    r.recoverySequences = 42;
+    r.overlapFraction = 0.25;
+    r.tma = distinctTma();
+    TmaCounters &c = r.counters;
+    u64 next = 101;
+    for (u64 *field : {&c.cycles, &c.retiredUops, &c.issuedUops,
+                       &c.fetchBubbles, &c.recovering,
+                       &c.branchMispredicts, &c.machineClears,
+                       &c.fencesRetired, &c.icacheBlocked,
+                       &c.dcacheBlocked, &c.dcacheBlockedDram})
+        *field = next++;
+    r.error = "e";
+    r.traceStore = "s.icst";
+    EXPECT_EQ(toHex(encodeSweepResult(r)),
+              "05000000000000000002000000bc0a00"
+              "00000000000107000000000000000000"
+              "00000000f83f2a000000000000000000"
+              "00000000d03f000000000000b03f0000"
+              "00000000c03f000000000000c83f0000"
+              "00000000d03f000000000000d43f0000"
+              "00000000d83f000000000000dc3f0000"
+              "00000000e03f000000000000e23f0000"
+              "00000000e43f000000000000e63f0000"
+              "00000000e83f000000000000ea3f0000"
+              "00000000ec3f000000000000ee3f2211"
+              "00000000000044330000000000006500"
+              "00000000000066000000000000006700"
+              "00000000000068000000000000006900"
+              "0000000000006a000000000000006b00"
+              "0000000000006c000000000000006d00"
+              "0000000000006e000000000000006f00"
+              "00000000000001000000650600000073"
+              "2e6963737400000000");
+
+    WindowReply w;
+    w.tma = distinctTma();
+    w.blocksDecoded = 9;
+    EXPECT_EQ(toHex(encodeWindowReply(w)),
+              "000000000000b03f000000000000c03f"
+              "000000000000c83f000000000000d03f"
+              "000000000000d43f000000000000d83f"
+              "000000000000dc3f000000000000e03f"
+              "000000000000e23f000000000000e43f"
+              "000000000000e63f000000000000e83f"
+              "000000000000ea3f000000000000ec3f"
+              "000000000000ee3f2211000000000000"
+              "44330000000000000900000000000000");
+}
+
 TEST(ServeProtocol, TruncatedPayloadsNeverDecode)
 {
     // Every strict prefix of a valid payload must be rejected: the

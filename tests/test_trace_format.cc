@@ -1,10 +1,10 @@
 /**
  * @file
- * Trace-file format tests: roundtrips across every bundle shape,
- * rejection of malformed headers (bad magic/version, truncation,
- * duplicate fields, out-of-range event ids and lanes — regression
- * tests for the readTrace decode-corruption bug), multi-lane analyzer
- * behaviour, and RecoveryCdf edge cases.
+ * Legacy .trc reader tests: forged well-formed files of every bundle
+ * shape read back exactly, rejection of malformed headers (bad
+ * magic/version, truncation, duplicate fields, out-of-range event ids
+ * and lanes — regression tests for the readTrace decode-corruption
+ * bug), multi-lane analyzer behaviour, and RecoveryCdf edge cases.
  */
 
 #include <cstdio>
@@ -16,6 +16,7 @@
 #include "isa/builder.hh"
 #include "rocket/rocket.hh"
 #include "trace/trace.hh"
+#include "trace_forge.hh"
 
 namespace icicle
 {
@@ -23,8 +24,6 @@ namespace
 {
 
 using namespace reg;
-
-constexpr u32 kMagic = 0x49434c54; // "ICLT"
 
 Program
 tinyLoop()
@@ -38,46 +37,6 @@ tinyLoop()
     b.halt();
     return b.build();
 }
-
-/** Byte-level trace-file writer for forging malformed headers. */
-class TraceForge
-{
-  public:
-    explicit TraceForge(const std::string &path)
-        : out(path, std::ios::binary)
-    {}
-
-    void
-    put32(u32 v)
-    {
-        out.write(reinterpret_cast<const char *>(&v), 4);
-    }
-
-    void
-    put64(u64 v)
-    {
-        out.write(reinterpret_cast<const char *>(&v), 8);
-    }
-
-    void
-    header(u32 magic = kMagic, u32 version = 1)
-    {
-        put32(magic);
-        put32(version);
-    }
-
-    void
-    field(u32 event, u32 lane)
-    {
-        put32(event);
-        put32(lane);
-    }
-
-    void close() { out.close(); }
-
-  private:
-    std::ofstream out;
-};
 
 class ScratchFile
 {
@@ -97,7 +56,7 @@ class ScratchFile
 void
 expectRoundTrip(const Trace &trace, const std::string &path)
 {
-    writeTrace(trace, path);
+    forgeTrace(trace, path);
     const Trace loaded = readTrace(path);
     ASSERT_EQ(loaded.spec().numFields(), trace.spec().numFields());
     for (u32 f = 0; f < trace.spec().numFields(); f++) {
@@ -179,7 +138,7 @@ TEST(TraceFormat, RejectsBadVersion)
 {
     ScratchFile file("bad_version");
     TraceForge forge(file.path());
-    forge.header(kMagic, 999);
+    forge.header(kTraceForgeMagic, 999);
     forge.close();
     EXPECT_THROW(readTrace(file.path()), FatalError);
 }
@@ -237,7 +196,7 @@ TEST(TraceFormat, DetectsFlippedPayloadByte)
 {
     ScratchFile file("crc_flip");
     RocketCore core(RocketConfig{}, tinyLoop());
-    writeTrace(traceRun(core, TraceSpec::frontendBundle(), 100'000),
+    forgeTrace(traceRun(core, TraceSpec::frontendBundle(), 100'000),
                file.path());
     std::string bytes = slurpFile(file.path());
     // Flip one bit in the middle of the cycle records (well past the
@@ -261,7 +220,7 @@ TEST(TraceFormat, TruncationReportsExpectedVsActualCycles)
     Trace trace(spec);
     for (int c = 0; c < 10; c++)
         trace.append(1);
-    writeTrace(trace, file.path());
+    forgeTrace(trace, file.path());
     std::string bytes = slurpFile(file.path());
     // Drop the CRC trailer and the last three cycle records.
     dumpFile(file.path(), bytes.substr(0, bytes.size() - 4 - 3 * 8));
@@ -283,7 +242,7 @@ TEST(TraceFormat, MissingCrcTrailerIsTruncation)
     spec.addLane(EventId::Cycles, 0);
     Trace trace(spec);
     trace.append(1);
-    writeTrace(trace, file.path());
+    forgeTrace(trace, file.path());
     std::string bytes = slurpFile(file.path());
     dumpFile(file.path(), bytes.substr(0, bytes.size() - 4));
     try {
@@ -300,7 +259,7 @@ TEST(TraceFormat, AcceptsVersion1FilesWithoutCrc)
     // Pre-CRC files (version 1) must stay readable.
     ScratchFile file("v1_legacy");
     TraceForge forge(file.path());
-    forge.header(kMagic, 1);
+    forge.header(kTraceForgeMagic, 1);
     forge.put32(1);
     forge.field(static_cast<u32>(EventId::Recovering), 0);
     forge.put64(3);

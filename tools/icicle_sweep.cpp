@@ -31,7 +31,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -91,22 +90,6 @@ usage(FILE *out)
     return cli::usageExit(out, kUsage);
 }
 
-std::vector<std::string>
-splitList(const std::string &text)
-{
-    std::vector<std::string> items;
-    std::string item;
-    std::istringstream is(text);
-    while (std::getline(is, item, ',')) {
-        // Trim surrounding whitespace.
-        const auto begin = item.find_first_not_of(" \t");
-        const auto end = item.find_last_not_of(" \t");
-        if (begin != std::string::npos)
-            items.push_back(item.substr(begin, end - begin + 1));
-    }
-    return items;
-}
-
 void
 appendUnique(std::vector<std::string> &list,
              const std::vector<std::string> &items)
@@ -149,15 +132,15 @@ loadSpecFile(const std::string &path, GridSpec &grid)
         const std::string key = trim(line.substr(0, eq));
         const std::string value = trim(line.substr(eq + 1));
         if (key == "cores") {
-            appendUnique(grid.cores, splitList(value));
+            appendUnique(grid.cores, cli::splitList(value));
         } else if (key == "workloads") {
-            appendUnique(grid.workloads, splitList(value));
+            appendUnique(grid.workloads, cli::splitList(value));
         } else if (key == "suite") {
-            for (const std::string &suite : splitList(value))
+            for (const std::string &suite : cli::splitList(value))
                 appendUnique(grid.workloads, workloadNames(suite));
         } else if (key == "archs") {
             grid.counterArchs.clear();
-            for (const std::string &arch : splitList(value))
+            for (const std::string &arch : cli::splitList(value))
                 grid.counterArchs.push_back(parseCounterArch(arch));
         } else if (key == "cycles") {
             grid.maxCycles = std::stoull(value);
@@ -236,13 +219,13 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--cores") {
-            appendUnique(flag_cores, splitList(value()));
+            appendUnique(flag_cores, cli::splitList(value()));
         } else if (arg == "--workloads") {
-            appendUnique(flag_workloads, splitList(value()));
+            appendUnique(flag_workloads, cli::splitList(value()));
         } else if (arg == "--suite") {
-            appendUnique(flag_suites, splitList(value()));
+            appendUnique(flag_suites, cli::splitList(value()));
         } else if (arg == "--archs") {
-            appendUnique(flag_archs, splitList(value()));
+            appendUnique(flag_archs, cli::splitList(value()));
             archs_set = true;
         } else if (arg == "--cycles") {
             grid.maxCycles = std::stoull(value());

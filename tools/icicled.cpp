@@ -82,21 +82,6 @@ constexpr char kUsage[] =
     "                    reset, attempt timeout (default 4;\n"
     "                    shutdown never retries)\n";
 
-std::vector<std::string>
-splitList(const std::string &text)
-{
-    std::vector<std::string> items;
-    std::string item;
-    std::istringstream is(text);
-    while (std::getline(is, item, ',')) {
-        const auto begin = item.find_first_not_of(" \t");
-        const auto end = item.find_last_not_of(" \t");
-        if (begin != std::string::npos)
-            items.push_back(item.substr(begin, end - begin + 1));
-    }
-    return items;
-}
-
 /** Common flag state across subcommands. */
 struct Args
 {
@@ -160,16 +145,16 @@ parseArgs(int argc, char **argv, int first, Args &args, int *status)
             args.client.maxRetries =
                 static_cast<u32>(std::stoul(value()));
         } else if (arg == "--cores") {
-            for (const std::string &core : splitList(value()))
+            for (const std::string &core : cli::splitList(value()))
                 args.query.cores.push_back(core);
         } else if (arg == "--workloads") {
-            for (const std::string &w : splitList(value()))
+            for (const std::string &w : cli::splitList(value()))
                 args.query.workloads.push_back(w);
         } else if (arg == "--archs") {
             if (!archs_set)
                 args.query.archs.clear();
             archs_set = true;
-            for (const std::string &a : splitList(value()))
+            for (const std::string &a : cli::splitList(value()))
                 args.query.archs.push_back(parseCounterArch(a));
         } else if (arg == "--cycles") {
             args.query.maxCycles = std::stoull(value());

@@ -20,8 +20,17 @@
  *   - every packed trace word of the run,
  *   - the full TmaResult (bit-cast doubles).
  *
+ * A second table (golden_tick_coverage.inc) uses the same fold on the
+ * paths the synthetic loops never reach: stores, fences, fence.i and
+ * machine clears. Its rows are rocket, boom-small and boom-large x
+ * {every micro and composite registry workload, every litmus program,
+ * a fence.i loop}, each capped at kCoverageCycles. Next to the hash,
+ * each row records its Flush, FenceRetired and ICacheMiss totals, so
+ * the table itself shows that those paths ran.
+ *
  * Regenerating goldens (only legitimate when the *model* changes, in
- * which case the diff must be explainable event by event):
+ * which case the diff must be explainable event by event) rewrites
+ * both tables; the coverage table lands next to the named file:
  *
  *   ICICLE_TICK_IDENTITY_REGEN=/path/to/golden_tick_identity.inc \
  *     ./build/tests/test_tick_identity
@@ -31,7 +40,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -39,9 +50,13 @@
 #include "common/crc32.hh"
 #include "common/random.hh"
 #include "core/session.hh"
+#include "isa/builder.hh"
 #include "rocket/rocket.hh"
+#include "sweep/sweep.hh"
 #include "trace/trace.hh"
 #include "workloads/generator.hh"
+#include "workloads/litmus.hh"
+#include "workloads/workloads.hh"
 
 namespace
 {
@@ -49,6 +64,19 @@ namespace
 using namespace icicle;
 
 #include "golden_tick_identity.inc"
+
+/** One coverage row: a (core, program) run and what it exercised. */
+struct CoverageGolden
+{
+    const char *core;
+    const char *program;
+    u32 hash;
+    u64 flush;
+    u64 fenceRetired;
+    u64 icacheMiss;
+};
+
+#include "golden_tick_coverage.inc"
 
 constexpr u64 kNumSeeds = 110;
 constexpr u64 kRocketCycles = 40'000;
@@ -209,7 +237,9 @@ const char *const kConfigNames[4] = {
     "boom-medium-distributed",
 };
 
-/** Regen mode: rewrite the golden table instead of checking it. */
+void writeCoverageGoldens(const std::string &path);
+
+/** Regen mode: rewrite the golden tables instead of checking them. */
 bool
 maybeRegenerate()
 {
@@ -237,6 +267,13 @@ maybeRegenerate()
     std::fprintf(out, "};\n");
     std::fclose(out);
     std::printf("regenerated goldens at %s\n", path);
+
+    const std::string dir(path);
+    const std::string::size_type slash = dir.rfind('/');
+    writeCoverageGoldens(
+        (slash == std::string::npos ? std::string() :
+                                      dir.substr(0, slash + 1)) +
+        "golden_tick_coverage.inc");
     return true;
 }
 
@@ -263,5 +300,164 @@ TEST_P(TickIdentityShard, MatchesPreRefactorGolden)
 
 INSTANTIATE_TEST_SUITE_P(AllSeeds, TickIdentityShard,
                          ::testing::Range<u64>(0, 11));
+
+// ------------------------------------------------------------ coverage
+
+constexpr u64 kCoverageCycles = 60'000;
+constexpr u64 kCoverageShards = 12;
+
+const char *const kCoverageCores[] = {"rocket", "boom-small",
+                                      "boom-large"};
+
+/**
+ * fence.i in a loop with instructions decoded behind it, plus a load
+ * that races a store waiting on a divide (a BOOM machine clear).
+ */
+Program
+fenceILoop()
+{
+    using namespace reg;
+    ProgramBuilder b("fencei-loop");
+    Label buf = b.dword(0);
+    Label loop = b.newLabel();
+    b.la(s0, buf);
+    b.li(s2, 7);
+    b.li(t0, 50);
+    b.bind(loop);
+    b.addi(t1, t1, 1);
+    b.fenceI();
+    b.div(t3, t0, s2);
+    b.sd(t3, s0, 0);
+    b.ld(t4, s0, 0);
+    b.add(t2, t2, t4);
+    b.addi(t0, t0, -1);
+    b.bnez(t0, loop);
+    b.halt();
+    return b.build();
+}
+
+/** Program names of the coverage rows, in table order. */
+std::vector<std::string>
+coveragePrograms()
+{
+    std::vector<std::string> names = workloadNames("micro");
+    for (const std::string &name : workloadNames("composite"))
+        names.push_back(name);
+    for (const LitmusInfo &info : litmusSuite())
+        names.push_back(info.name);
+    names.push_back("fencei-loop");
+    return names;
+}
+
+Program
+coverageProgram(const std::string &name)
+{
+    if (name == "fencei-loop")
+        return fenceILoop();
+    if (name.rfind("litmus-", 0) == 0)
+        return buildLitmus(name);
+    return buildWorkload(name);
+}
+
+/** Run one row; the hash is the same fold as the seeded table. */
+CoverageGolden
+runCoverageRow(const char *core_name, const std::string &program)
+{
+    const std::unique_ptr<Core> core = makeSweepCore(
+        core_name, CounterArch::Distributed, coverageProgram(program));
+    CoverageGolden row{};
+    row.hash = runAndHash(*core, kCoverageCycles);
+    row.flush = core->total(EventId::Flush);
+    row.fenceRetired = core->total(EventId::FenceRetired);
+    row.icacheMiss = core->total(EventId::ICacheMiss);
+    return row;
+}
+
+constexpr u64 kNumCoverageRows =
+    sizeof(kGoldenCoverage) / sizeof(kGoldenCoverage[0]);
+
+void
+writeCoverageGoldens(const std::string &path)
+{
+    std::FILE *out = std::fopen(path.c_str(), "w");
+    if (!out) {
+        std::fprintf(stderr, "cannot open %s for writing\n",
+                     path.c_str());
+        std::exit(1);
+    }
+    std::fprintf(out,
+                 "// Golden tick-coverage rows. Generated by\n"
+                 "// ICICLE_TICK_IDENTITY_REGEN (see "
+                 "test_tick_identity.cc);\n"
+                 "// fields: core, program, hash, Flush, FenceRetired,"
+                 " ICacheMiss.\n"
+                 "static const CoverageGolden kGoldenCoverage[] = {\n");
+    for (const char *core : kCoverageCores) {
+        for (const std::string &program : coveragePrograms()) {
+            const CoverageGolden row = runCoverageRow(core, program);
+            std::fprintf(out,
+                         "    {\"%s\", \"%s\", 0x%08" PRIx32
+                         ", %" PRIu64 ", %" PRIu64 ", %" PRIu64 "},\n",
+                         core, program.c_str(), row.hash, row.flush,
+                         row.fenceRetired, row.icacheMiss);
+        }
+    }
+    std::fprintf(out, "};\n");
+    std::fclose(out);
+    std::printf("regenerated goldens at %s\n", path.c_str());
+}
+
+TEST(TickCoverage, TableListsEveryRow)
+{
+    const std::vector<std::string> programs = coveragePrograms();
+    ASSERT_EQ(kNumCoverageRows, std::size(kCoverageCores) *
+                                    programs.size())
+        << "workload or litmus registry changed: regenerate";
+    u64 i = 0;
+    for (const char *core : kCoverageCores) {
+        for (const std::string &program : programs) {
+            EXPECT_STREQ(kGoldenCoverage[i].core, core);
+            EXPECT_EQ(kGoldenCoverage[i].program, program);
+            i++;
+        }
+    }
+}
+
+TEST(TickCoverage, RowsAreNotVacuous)
+{
+    bool boom_flush = false, fence = false, icache_miss = false;
+    for (const CoverageGolden &row : kGoldenCoverage) {
+        boom_flush |= std::string(row.core) != "rocket" && row.flush > 0;
+        fence |= row.fenceRetired > 0;
+        icache_miss |= row.icacheMiss > 0;
+    }
+    EXPECT_TRUE(boom_flush) << "no BOOM row takes a machine clear";
+    EXPECT_TRUE(fence) << "no row retires a fence";
+    EXPECT_TRUE(icache_miss) << "no row misses in the I-cache";
+}
+
+struct TickCoverageShard : ::testing::TestWithParam<u64>
+{};
+
+TEST_P(TickCoverageShard, MatchesGolden)
+{
+    static const bool regenerated = maybeRegenerate();
+    if (regenerated)
+        GTEST_SKIP() << "regen mode: goldens rewritten, not checked";
+    for (u64 i = GetParam(); i < kNumCoverageRows; i += kCoverageShards) {
+        const CoverageGolden &golden = kGoldenCoverage[i];
+        const CoverageGolden row =
+            runCoverageRow(golden.core, golden.program);
+        const std::string where =
+            std::string(golden.core) + " / " + golden.program;
+        EXPECT_EQ(row.hash, golden.hash) << where;
+        EXPECT_EQ(row.flush, golden.flush) << where;
+        EXPECT_EQ(row.fenceRetired, golden.fenceRetired) << where;
+        EXPECT_EQ(row.icacheMiss, golden.icacheMiss) << where;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllRows, TickCoverageShard,
+                         ::testing::Range<u64>(0, kCoverageShards));
 
 } // namespace

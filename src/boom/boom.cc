@@ -98,13 +98,25 @@ BoomConfig::allSizes()
 // ------------------------------------------------------------- core
 
 BoomCore::BoomCore(const BoomConfig &config, const Program &program)
-    : cfg(config), exec(program), mem(config.mem), mshrs(config.numMshrs),
-      // BOOM pairs TAGE with a large BTB (Table IV: 14..28 KiB of
-      // predictor storage), unlike Rocket's 28-entry BTB.
-      btb(1024), csrs(CoreKind::Boom, config.counterArch, &events),
+    : CoreShell(CoreKind::Boom, config.counterArch, config.mem, program),
+      cfg(config), mshrs(config.numMshrs),
+      frontend(
+          FetchParams{
+              .fetchWidth = config.fetchWidth,
+              .bufferEntries = config.fetchBufferEntries,
+              // BOOM pairs TAGE with a large BTB (Table IV: 14..28 KiB
+              // of predictor storage), unlike Rocket's 28-entry BTB.
+              .btbEntries = 1024,
+              .blockBytes = config.mem.l1i.blockBytes,
+              .redirectCycles = config.frontendRestartCycles,
+              // Conditional-branch targets are PC-relative: decode
+              // recomputes them and resteers the frontend (a short
+              // bubble), not a full mispredict.
+              .decodeResteerCycles = 2,
+          },
+          Tage(), exec, mem, events),
       fetchBuffer(config.fetchBufferEntries), rob(config.robEntries)
 {
-    exec.setCsrBackend(&csrs);
     renameMap.fill(SeqSlot{});
     events.setNumSources(EventId::UopsIssued, cfg.totalIssueWidth());
     events.setNumSources(EventId::FetchBubbles, cfg.coreWidth);
@@ -152,15 +164,6 @@ BoomCore::routeToIq(Op op) const
       default:
         return IqType::Int;
     }
-}
-
-void
-BoomCore::redirectFrontend()
-{
-    wrongPathMode = false;
-    recovering = true;
-    redirectWait = cfg.frontendRestartCycles;
-    lastFetchBlock = ~0ull;
 }
 
 void
@@ -245,7 +248,7 @@ BoomCore::stageCommit()
         if (head.isFence) {
             events.raise(EventId::FenceRetired);
             fenceBlocking = false;
-            redirectFrontend();
+            frontend.redirect();
         }
         if (cls == InstClass::System) {
             events.raise(EventId::Exception);
@@ -310,7 +313,7 @@ BoomCore::stageComplete()
             // Squash everything younger (all wrong-path synthetics)
             // and restart the frontend on the correct path.
             flushFrom(done.seq + 1, false);
-            redirectFrontend();
+            frontend.redirect();
         }
     }
 }
@@ -492,7 +495,7 @@ BoomCore::stageIssue()
         events.raise(EventId::Flush);
         numMachineClears++;
         flushFrom(machine_clear_from, true);
-        redirectFrontend();
+        frontend.redirect();
     }
 
     // D$-blocked per commit-width lane w: high if at most w uops
@@ -599,10 +602,11 @@ BoomCore::stageDispatch()
 
     // Fetch-bubble per decode lane i: the backend had room for lane i
     // but the frontend supplied nothing, outside recovery (§IV-A).
-    const bool stream_exhausted = streamDone && fetchBuffer.empty() &&
-                                  replayQueue.empty() && !wrongPathMode;
-    if (!recovering && !backpressured && !halted && !stream_exhausted &&
-        !fenceBlocking) {
+    const bool stream_exhausted = frontend.exhausted() &&
+                                  fetchBuffer.empty() &&
+                                  replayQueue.empty();
+    if (!frontend.isRecovering() && !backpressured && !halted &&
+        !stream_exhausted && !fenceBlocking) {
         for (u32 lane = accepted; lane < cfg.coreWidth; lane++) {
             if (robCount + (lane - accepted) < cfg.robEntries)
                 events.raise(EventId::FetchBubbles, lane);
@@ -612,233 +616,57 @@ BoomCore::stageDispatch()
 
 // ------------------------------------------------------------- fetch
 
-void
-BoomCore::predictControlFlow(PipeUop &uop)
+namespace
 {
-    const Retired &ret = uop.ret;
-    const Addr pc = ret.pc;
-    const Addr fallthrough = pc + 4;
-    const InstClass cls = classOf(ret.inst.op);
 
-    Addr predicted_next = fallthrough;
+/**
+ * BOOM's fetch rules: uops squashed by a machine clear are refetched
+ * before the oracle stream, and a fetched fence ends the packet and
+ * blocks fetch until it commits.
+ */
+struct BoomFetchHooks
+{
+    UopRing &replay;
+    bool &fenceBlocking;
 
-    if (cls == InstClass::Branch) {
-        const bool pred_taken = tage.predictTaken(pc);
-        tage.recordOutcome(pred_taken, ret.taken);
-        if (pred_taken) {
-            const std::optional<Addr> target = btb.lookup(pc);
-            if (target) {
-                predicted_next = *target;
-            } else {
-                // Conditional-branch targets are PC-relative: decode
-                // recomputes them and resteers the frontend (a short
-                // bubble), not a full mispredict.
-                predicted_next =
-                    pc + static_cast<u64>(ret.inst.imm);
-                redirectWait = std::max(redirectWait, 2u);
-            }
-        }
-        tage.update(pc, ret.taken);
-        if (ret.taken)
-            btb.update(pc, ret.nextPc);
-    } else if (cls == InstClass::Jump) {
-        const std::optional<Addr> target = btb.lookup(pc);
-        predicted_next = target.value_or(ret.nextPc);
-        if (!target)
-            redirectWait = std::max(redirectWait, 1u);
-        btb.update(pc, ret.nextPc);
-        if (ret.inst.rd == reg::ra)
-            ras.push(fallthrough);
-    } else { // JumpReg
-        const bool is_return =
-            ret.inst.rs1 == reg::ra && ret.inst.rd == reg::zero;
-        std::optional<Addr> target;
-        if (is_return)
-            target = ras.pop();
-        if (!target)
-            target = btb.lookup(pc);
-        predicted_next = target.value_or(fallthrough);
-        btb.update(pc, ret.nextPc);
-        if (ret.inst.rd == reg::ra)
-            ras.push(fallthrough);
+    bool replayPending() const { return !replay.empty(); }
+    PipeUop replayFront() const { return replay.front(); }
+    void popReplay() { replay.popFront(); }
+
+    bool
+    endsPacket(const PipeUop &uop)
+    {
+        if (classOf(uop.ret.inst.op) != InstClass::Fence)
+            return false;
+        fenceBlocking = true;
+        return true;
     }
+};
 
-    uop.predictedNext = predicted_next;
-    if (cls != InstClass::Jump && predicted_next != ret.nextPc) {
-        uop.flags |= uopflag::mispredicted;
-        if (cls == InstClass::JumpReg)
-            uop.flags |= uopflag::targetMispredict;
-        wrongPathMode = true;
-        wrongPathPc = predicted_next;
-    }
-}
+} // namespace
 
 void
 BoomCore::stageFetch()
 {
-    if (redirectWait > 0) {
-        redirectWait--;
-        if (recovering)
-            events.raise(EventId::Recovering);
-        return;
-    }
-
-    if (icacheReadyAt > now) {
-        // New BOOM I$-blocked heuristic: refill in progress while the
-        // fetch buffer is empty.
-        if (fetchBuffer.empty())
-            events.raise(EventId::ICacheBlocked);
-        if (recovering)
-            events.raise(EventId::Recovering);
-        return;
-    }
-
-    if (halted || fenceBlocking) {
-        if (recovering)
-            events.raise(EventId::Recovering);
-        return;
-    }
-
-    for (u32 slot = 0; slot < cfg.fetchWidth; slot++) {
-        if (fetchBuffer.size() >= cfg.fetchBufferEntries)
-            break;
-
-        PipeUop uop;
-        Addr fetch_pc;
-        bool from_replay = false;
-        if (wrongPathMode) {
-            fetch_pc = wrongPathPc;
-        } else if (!replayQueue.empty()) {
-            uop = replayQueue.front();
-            fetch_pc = uop.ret.pc;
-            from_replay = true;
-        } else {
-            if (streamDone)
-                break;
-            if (!streamValid) {
-                if (exec.halted()) {
-                    streamDone = true;
-                    break;
-                }
-                streamHead = exec.step();
-                streamValid = true;
-            }
-            fetch_pc = streamHead.pc;
-        }
-
-        const u64 block = fetch_pc / cfg.mem.l1i.blockBytes;
-        if (block != lastFetchBlock) {
-            const MemResult result = mem.fetch(fetch_pc);
-            if (result.tlbMiss) {
-                events.raise(EventId::ITlbMiss);
-                if (result.l2TlbMiss)
-                    events.raise(EventId::L2TlbMiss);
-            }
-            if (!result.l1Hit || result.tlbMiss) {
-                if (!result.l1Hit)
-                    events.raise(EventId::ICacheMiss);
-                icacheReadyAt = now + result.latency;
-                if (fetchBuffer.empty())
-                    events.raise(EventId::ICacheBlocked);
-                return;
-            }
-            lastFetchBlock = block;
-        }
-
-        if (wrongPathMode) {
-            uop = PipeUop{};
-            uop.ret.pc = fetch_pc;
-            uop.ret.inst.op = Op::Addi; // synthetic wrong-path uop
-            uop.ret.nextPc = fetch_pc + 4;
-            uop.flags = uopflag::wrongPath;
-            wrongPathPc += 4;
-            fetchBuffer.pushBack(uop);
-            recovering = false;
-            continue;
-        }
-
-        if (from_replay) {
-            replayQueue.popFront();
-            // Clear stale speculation flags; re-predict below.
-            uop.flags &= static_cast<u8>(
-                ~(uopflag::mispredicted | uopflag::targetMispredict));
-        } else {
-            uop.ret = streamHead;
-            streamValid = false;
-            if (streamHead.halted)
-                streamDone = true;
-        }
-
-        const bool is_cf = uop.ret.isControlFlow();
-        if (is_cf)
-            predictControlFlow(uop);
-        fetchBuffer.pushBack(uop);
-        recovering = false;
-
-        if (classOf(uop.ret.inst.op) == InstClass::Fence) {
-            fenceBlocking = true;
-            break;
-        }
-        if (is_cf) {
-            const Addr next = uop.mispredicted() ? uop.predictedNext
-                                                 : uop.ret.nextPc;
-            if (next != uop.ret.pc + 4) {
-                // Taken control flow ends the fetch packet and costs
-                // one redirect cycle through the fetch pipeline.
-                lastFetchBlock = ~0ull;
-                redirectWait = std::max(redirectWait, 1u);
-                break;
-            }
-        }
-        if (uop.ret.halted)
-            break;
-    }
-    // Still recovering: no valid fetch packet was produced this cycle.
-    if (recovering)
-        events.raise(EventId::Recovering);
+    const FetchOutcome outcome =
+        frontend.tick(fetchBuffer, now, halted || fenceBlocking,
+                      BoomFetchHooks{replayQueue, fenceBlocking});
+    // BOOM's I$-blocked: a refill is pending while the fetch buffer
+    // is empty.
+    if (outcome.icacheBlocked && fetchBuffer.empty())
+        events.raise(EventId::ICacheBlocked);
 }
 
 // -------------------------------------------------------------- tick
 
 void
-BoomCore::tick()
+BoomCore::tickStages()
 {
-    events.clear();
-    events.raise(EventId::Cycles);
-
     stageCommit();
     stageComplete();
     stageIssue();
     stageDispatch();
     stageFetch();
-
-    csrs.tick(events);
-    // Only events raised this cycle can change a total.
-    u64 dirty = events.dirty();
-    while (dirty) {
-        const u32 e = static_cast<u32>(std::countr_zero(dirty));
-        dirty &= dirty - 1;
-        const u16 mask = events.mask(static_cast<EventId>(e));
-        totals[e] += static_cast<u64>(std::popcount(mask));
-        u16 bits = mask;
-        while (bits) {
-            const u32 lane = static_cast<u32>(std::countr_zero(bits));
-            laneTotals[e][lane]++;
-            bits &= bits - 1;
-        }
-    }
-    now++;
-}
-
-u64
-BoomCore::run(u64 max_cycles,
-              const std::function<void(Cycle, const EventBus &)> &on_cycle)
-{
-    if (!on_cycle)
-        return runLoop(max_cycles, [](Cycle, const EventBus &) {});
-    return runLoop(max_cycles, [&on_cycle](Cycle c, const EventBus &b) {
-        on_cycle(c, b);
-    });
 }
 
 } // namespace icicle

@@ -16,25 +16,30 @@
  * ordering violations (machine clears) are modelled with speculative
  * load issue, a store-set style dependence predictor, and replay of
  * the squashed correct-path uops.
+ *
+ * Fetch, prediction and wrong-path fetch are the shared FetchStream
+ * (core/fetch.hh) over TAGE; the Core plumbing is CoreShell
+ * (core/shell.hh). This file keeps what is BOOM's own: decode's
+ * resteer on a taken-branch BTB miss, the rule that I$-blocked is
+ * raised only while the fetch buffer is empty, the machine-clear
+ * replay queue and fence blocking, and the out-of-order backend.
  */
 
 #ifndef ICICLE_BOOM_BOOM_HH
 #define ICICLE_BOOM_BOOM_HH
 
 #include <array>
-#include <functional>
 #include <queue>
 #include <string>
 #include <unordered_set>
 #include <vector>
 
 #include "bpred/bpred.hh"
-#include "core/core.hh"
+#include "core/fetch.hh"
 #include "core/pipebuf.hh"
-#include "isa/executor.hh"
+#include "core/shell.hh"
 #include "mem/hierarchy.hh"
 #include "mem/mshr.hh"
-#include "pmu/csr.hh"
 #include "pmu/event.hh"
 
 namespace icicle
@@ -80,40 +85,11 @@ struct BoomConfig
 };
 
 /** The BOOM core timing model. */
-class BoomCore final : public Core
+class BoomCore final : public CoreShell<BoomCore, true>
 {
   public:
     BoomCore(const BoomConfig &config, const Program &program);
 
-    void tick() override;
-    bool done() const override { return halted; }
-    u64 run(u64 max_cycles = ~0ull,
-            const std::function<void(Cycle, const EventBus &)> &on_cycle =
-                nullptr) override;
-
-    /**
-     * Batch tick loop with a statically-dispatched per-cycle hook:
-     * the class is final, so tick() devirtualizes and the hook
-     * inlines — no per-cycle virtual or std::function dispatch.
-     */
-    template <typename F>
-    u64
-    runLoop(u64 max_cycles, F &&on_cycle)
-    {
-        u64 simulated = 0;
-        while (!halted && simulated < max_cycles) {
-            tick();
-            on_cycle(now - 1, events);
-            simulated++;
-        }
-        return simulated;
-    }
-
-    Cycle cycle() const override { return now; }
-    const EventBus &bus() const override { return events; }
-    CsrFile &csrFile() override { return csrs; }
-    Executor &executor() override { return exec; }
-    MemHierarchy &memory() { return mem; }
     const BoomConfig &config() const { return cfg; }
 
     CoreKind kind() const override { return CoreKind::Boom; }
@@ -121,18 +97,9 @@ class BoomCore final : public Core
     u32 issueWidth() const override { return cfg.totalIssueWidth(); }
     const char *name() const override { return cfg.name.c_str(); }
 
-    u64 total(EventId id) const override
-    { return totals[static_cast<u32>(id)]; }
-    /** Per-source totals (Table V per-lane experiments). */
-    u64
-    laneTotal(EventId id, u32 lane) const override
-    {
-        return laneTotals[static_cast<u32>(id)][lane];
-    }
-
     u64 machineClears() const { return numMachineClears; }
     u64 branchMispredicts() const
-    { return totals[static_cast<u32>(EventId::BranchMispredict)]; }
+    { return total(EventId::BranchMispredict); }
 
   private:
     enum class RobState : u8 { Waiting, InQueue, Issued, Done };
@@ -198,6 +165,10 @@ class BoomCore final : public Core
         Addr pc = 0;
     };
 
+    friend class CoreShell<BoomCore, true>;
+
+    /** One cycle of the pipeline: the stages, oldest first. */
+    void tickStages();
     // Pipeline stages, called youngest-to-oldest each tick.
     void stageCommit();
     void stageIssue();
@@ -205,42 +176,20 @@ class BoomCore final : public Core
     void stageDispatch();
     void stageFetch();
 
-    void predictControlFlow(PipeUop &uop);
     /** Squash all uops with seq >= first_bad; optionally replay. */
     void flushFrom(u64 first_bad, bool replay);
-    void redirectFrontend();
     RobEntry *findBySeq(const SeqSlot &handle);
     bool sourcesReady(const RobEntry &entry) const;
     IqType routeToIq(Op op) const;
 
     BoomConfig cfg;
-    Executor exec;
-    MemHierarchy mem;
     MshrFile mshrs;
-    Tage tage;
-    Btb btb;
-    Ras ras;
-    EventBus events;
-    CsrFile csrs;
-    std::array<u64, kNumEvents> totals{};
-    std::array<std::array<u64, kMaxSources>, kNumEvents> laneTotals{};
-
-    Cycle now = 0;
-    bool halted = false;
     u64 nextSeq = 1;
 
     // ---- frontend ----
+    FetchStream<Tage> frontend;
     UopRing fetchBuffer;
     UopRing replayQueue; ///< machine-clear refetch path
-    bool streamValid = false;
-    Retired streamHead;
-    bool streamDone = false;
-    bool wrongPathMode = false;
-    Addr wrongPathPc = 0;
-    Cycle icacheReadyAt = 0;
-    u64 lastFetchBlock = ~0ull;
-    bool recovering = false;
-    u32 redirectWait = 0;
     /** A fetched-but-uncommitted fence blocks further fetch. */
     bool fenceBlocking = false;
 

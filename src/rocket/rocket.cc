@@ -1,27 +1,29 @@
 #include "rocket/rocket.hh"
 
-#include <bit>
-
 #include "common/logging.hh"
 
 namespace icicle
 {
 
 RocketCore::RocketCore(const RocketConfig &config, const Program &program)
-    : cfg(config), exec(program), mem(config.mem), bht(config.bhtEntries),
-      btb(config.btbEntries),
-      csrs(CoreKind::Rocket, config.counterArch, &events),
+    : CoreShell(CoreKind::Rocket, config.counterArch, config.mem, program),
+      cfg(config),
+      frontend(
+          FetchParams{
+              .fetchWidth = config.fetchWidth,
+              .bufferEntries = config.ibufEntries,
+              .btbEntries = config.btbEntries,
+              .blockBytes = config.mem.l1i.blockBytes,
+              .redirectCycles = config.redirectLatency,
+              // Without a BTB entry the frontend cannot redirect at
+              // fetch; the effective prediction is not-taken.
+              .decodeResteerCycles = 0,
+          },
+          Bht(config.bhtEntries), exec, mem, events),
       ibuf(config.ibufEntries)
 {
-    exec.setCsrBackend(&csrs);
     regReady.fill(0);
     regProducer.fill(InstClass::IntAlu);
-}
-
-bool
-RocketCore::done() const
-{
-    return halted;
 }
 
 void
@@ -54,183 +56,16 @@ RocketCore::raiseRetireClassEvents(const Retired &ret)
 }
 
 void
-RocketCore::predictControlFlow(PipeUop &entry)
-{
-    const Retired &ret = entry.ret;
-    const Addr pc = ret.pc;
-    const Addr fallthrough = pc + 4;
-    const InstClass cls = classOf(ret.inst.op);
-
-    Addr predicted_next = fallthrough;
-    bool target_miss = false;
-
-    if (cls == InstClass::Branch) {
-        const bool pred_taken = bht.predictTaken(pc);
-        bht.recordOutcome(pred_taken, ret.taken);
-        if (pred_taken) {
-            const std::optional<Addr> target = btb.lookup(pc);
-            // Without a BTB entry the frontend cannot redirect at
-            // fetch; the effective prediction is not-taken.
-            predicted_next = target.value_or(fallthrough);
-        }
-        // Train: direction immediately (fetch-time structures are
-        // trained at resolution in RTL; the single-cycle difference is
-        // invisible at event granularity), target on taken.
-        bht.update(pc, ret.taken);
-        if (ret.taken)
-            btb.update(pc, ret.nextPc);
-    } else if (cls == InstClass::Jump) {
-        const std::optional<Addr> target = btb.lookup(pc);
-        if (target) {
-            predicted_next = *target;
-        } else {
-            // JAL target is computed in decode: one frontend bubble,
-            // then the correct target -- not a mispredict.
-            predicted_next = ret.nextPc;
-            target_miss = true; // handled as a CF interlock below
-        }
-        btb.update(pc, ret.nextPc);
-        if (ret.inst.rd == reg::ra)
-            ras.push(fallthrough);
-    } else { // JumpReg
-        const bool is_return =
-            ret.inst.rs1 == reg::ra && ret.inst.rd == reg::zero;
-        std::optional<Addr> target;
-        if (is_return)
-            target = ras.pop();
-        if (!target)
-            target = btb.lookup(pc);
-        predicted_next = target.value_or(fallthrough);
-        btb.update(pc, ret.nextPc);
-        if (ret.inst.rd == reg::ra)
-            ras.push(fallthrough);
-    }
-
-    entry.predictedNext = predicted_next;
-    if (cls == InstClass::Jump) {
-        if (target_miss) {
-            // Decode-computed target: 1-cycle fetch stall.
-            events.raise(EventId::CtrlFlowInterlock);
-            redirectWait = std::max(redirectWait, 1u);
-        }
-        return;
-    }
-
-    if (predicted_next != ret.nextPc) {
-        entry.flags |= uopflag::mispredicted;
-        if (cls == InstClass::JumpReg)
-            entry.flags |= uopflag::targetMispredict;
-        wrongPathMode = true;
-        wrongPathPc = predicted_next;
-    }
-}
-
-void
 RocketCore::tickFrontend()
 {
-    if (redirectWait > 0) {
-        redirectWait--;
-        if (recovering)
-            events.raise(EventId::Recovering);
-        return;
-    }
-
-    // Refill in progress: the frontend is blocked on the I-cache.
-    if (icacheReadyAt > now) {
+    const FetchOutcome outcome =
+        frontend.tick(ibuf, now, halted, PlainFetchHooks{});
+    // Rocket's I$-blocked: any cycle fetch waits on a refill.
+    if (outcome.icacheBlocked)
         events.raise(EventId::ICacheBlocked);
-        if (recovering)
-            events.raise(EventId::Recovering);
-        return;
-    }
-
-    if (halted) {
-        if (recovering)
-            events.raise(EventId::Recovering);
-        return;
-    }
-
-    for (u32 slot = 0; slot < cfg.fetchWidth; slot++) {
-        if (ibuf.size() >= cfg.ibufEntries)
-            break;
-        if (!wrongPathMode && streamDone)
-            break;
-
-        // Materialize the next instruction to fetch.
-        PipeUop entry;
-        Addr fetch_pc;
-        if (wrongPathMode) {
-            fetch_pc = wrongPathPc;
-        } else {
-            if (!streamValid) {
-                if (exec.halted()) {
-                    streamDone = true;
-                    break;
-                }
-                streamHead = exec.step();
-                streamValid = true;
-            }
-            fetch_pc = streamHead.pc;
-        }
-
-        // I-cache access when crossing into a new block.
-        const u64 block = fetch_pc / cfg.mem.l1i.blockBytes;
-        if (block != lastFetchBlock) {
-            const MemResult result = mem.fetch(fetch_pc);
-            if (result.tlbMiss) {
-                events.raise(EventId::ITlbMiss);
-                if (result.l2TlbMiss)
-                    events.raise(EventId::L2TlbMiss);
-            }
-            if (!result.l1Hit || result.tlbMiss) {
-                if (!result.l1Hit)
-                    events.raise(EventId::ICacheMiss);
-                icacheReadyAt = now + result.latency;
-                events.raise(EventId::ICacheBlocked);
-                return;
-            }
-            lastFetchBlock = block;
-        }
-
-        // Deliver into the instruction buffer.
-        if (wrongPathMode) {
-            entry.ret = Retired{};
-            entry.ret.pc = fetch_pc;
-            entry.ret.inst.op = Op::Addi; // synthetic wrong-path ALU op
-            entry.ret.nextPc = fetch_pc + 4;
-            entry.flags = uopflag::wrongPath;
-            wrongPathPc += 4;
-            ibuf.pushBack(entry);
-            recovering = false;
-            continue;
-        }
-
-        entry.ret = streamHead;
-        streamValid = false;
-        if (streamHead.halted)
-            streamDone = true;
-        const bool is_cf = entry.ret.isControlFlow();
-        if (is_cf)
-            predictControlFlow(entry);
-        ibuf.pushBack(entry);
-        recovering = false;
-
-        if (is_cf) {
-            // A (predicted-)taken control-flow instruction ends the
-            // fetch packet and redirects from the F2 stage: the
-            // target fetch loses one cycle even on a BTB hit.
-            const Addr next =
-                entry.mispredicted() ? entry.predictedNext
-                                     : entry.ret.nextPc;
-            if (next != entry.ret.pc + 4) {
-                lastFetchBlock = ~0ull;
-                redirectWait = std::max(redirectWait, 1u);
-                break;
-            }
-        }
-    }
-    // Still recovering: no valid fetch packet was produced this cycle.
-    if (recovering)
-        events.raise(EventId::Recovering);
+    // Decode-computed JAL target: a 1-cycle fetch stall.
+    if (outcome.jalTargetMiss)
+        events.raise(EventId::CtrlFlowInterlock);
 }
 
 void
@@ -240,7 +75,6 @@ RocketCore::tickBackend()
     if (ibuf_valid)
         events.raise(EventId::IBufValid);
 
-    bool issued = false;
     bool backend_stalled = false;
 
     if (!halted && serializeUntil > now) {
@@ -308,7 +142,6 @@ RocketCore::tickBackend()
 
         // --- issue --------------------------------------------------
         if (!stall) {
-            issued = true;
             events.raise(EventId::InstIssued);
             // Copy by construction (see pipebuf.hh): the entry is
             // popped here and used below (the PR 1 ASan bug class is
@@ -335,9 +168,10 @@ RocketCore::tickBackend()
                     regReady[ret.inst.rd] = now + cfg.divLatency;
                     regProducer[ret.inst.rd] = InstClass::Div;
                     break;
-                  case InstClass::Load: {
-                    const MemResult result = mem.data(ret.memAddr,
-                                                      false);
+                  case InstClass::Load:
+                  case InstClass::Store: {
+                    const MemResult result =
+                        mem.data(ret.memAddr, cls == InstClass::Store);
                     if (result.writeback)
                         events.raise(EventId::DCacheRelease);
                     if (result.tlbMiss) {
@@ -354,29 +188,9 @@ RocketCore::tickBackend()
                         dcacheReadyAt = ready; // page walk blocks
                         dcacheRefillFromDram = false;
                     }
-                    if (ret.inst.rd) {
+                    if (cls == InstClass::Load && ret.inst.rd) {
                         regReady[ret.inst.rd] = ready;
                         regProducer[ret.inst.rd] = InstClass::Load;
-                    }
-                    break;
-                  }
-                  case InstClass::Store: {
-                    const MemResult result = mem.data(ret.memAddr,
-                                                      true);
-                    if (result.writeback)
-                        events.raise(EventId::DCacheRelease);
-                    if (result.tlbMiss) {
-                        events.raise(EventId::DTlbMiss);
-                        if (result.l2TlbMiss)
-                            events.raise(EventId::L2TlbMiss);
-                    }
-                    if (!result.l1Hit) {
-                        events.raise(EventId::DCacheMiss);
-                        dcacheReadyAt = now + result.latency;
-                        dcacheRefillFromDram = !result.l2Hit;
-                    } else if (result.tlbMiss) {
-                        dcacheReadyAt = now + result.latency;
-                        dcacheRefillFromDram = false;
                     }
                     break;
                   }
@@ -430,9 +244,7 @@ RocketCore::tickBackend()
                                (ibuf.flagsAt(ibuf.size() - 1) &
                                 uopflag::wrongPath))
                             ibuf.popBack();
-                        recovering = true;
-                        redirectWait = cfg.redirectLatency;
-                        lastFetchBlock = ~0ull;
+                        frontend.refetch();
                     }
                     break;
                   case InstClass::System:
@@ -445,8 +257,8 @@ RocketCore::tickBackend()
 
     // Fetch-bubble event: decode ready, no valid instruction, and not
     // in a recovery shadow (the §III definition).
-    if (!halted && !ibuf_valid && !backend_stalled && !recovering &&
-        serializeUntil <= now) {
+    if (!halted && !ibuf_valid && !backend_stalled &&
+        !frontend.isRecovering() && serializeUntil <= now) {
         events.raise(EventId::FetchBubbles);
     }
     if (!backend_stalled && !halted)
@@ -460,44 +272,15 @@ RocketCore::tickBackend()
             events.raise(EventId::CtrlFlowTargetMispredict);
         // Squash wrong-path work and redirect the frontend.
         ibuf.clear();
-        wrongPathMode = false;
-        recovering = true;
-        redirectWait = cfg.redirectLatency;
-        lastFetchBlock = ~0ull;
+        frontend.redirect();
     }
-
-    (void)issued;
 }
 
 void
-RocketCore::tick()
+RocketCore::tickStages()
 {
-    events.clear();
-    events.raise(EventId::Cycles);
-
     tickBackend();
     tickFrontend();
-
-    csrs.tick(events);
-    // Only events raised this cycle can change a total.
-    u64 dirty = events.dirty();
-    while (dirty) {
-        const u32 e = static_cast<u32>(std::countr_zero(dirty));
-        totals[e] += events.count(static_cast<EventId>(e));
-        dirty &= dirty - 1;
-    }
-    now++;
-}
-
-u64
-RocketCore::run(u64 max_cycles,
-                const std::function<void(Cycle, const EventBus &)> &on_cycle)
-{
-    if (!on_cycle)
-        return runLoop(max_cycles, [](Cycle, const EventBus &) {});
-    return runLoop(max_cycles, [&on_cycle](Cycle c, const EventBus &b) {
-        on_cycle(c, b);
-    });
 }
 
 } // namespace icicle

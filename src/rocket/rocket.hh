@@ -13,20 +13,24 @@
  * mispredicted branch is modelled with synthetic wrong-path
  * instructions so the issued-but-flushed quantity behind the TMA
  * Bad-Speculation formula is physical, not inferred.
+ *
+ * Fetch, prediction and wrong-path fetch are the shared FetchStream
+ * (core/fetch.hh) over a BHT; the Core plumbing is CoreShell
+ * (core/shell.hh). This file keeps what is Rocket's own: the
+ * in-order backend and its interlocks, the CtrlFlowInterlock raised
+ * on a JAL BTB miss, and the fence.i squash of the ibuf.
  */
 
 #ifndef ICICLE_ROCKET_ROCKET_HH
 #define ICICLE_ROCKET_ROCKET_HH
 
 #include <array>
-#include <functional>
 
 #include "bpred/bpred.hh"
-#include "core/core.hh"
+#include "core/fetch.hh"
 #include "core/pipebuf.hh"
-#include "isa/executor.hh"
+#include "core/shell.hh"
 #include "mem/hierarchy.hh"
-#include "pmu/csr.hh"
 #include "pmu/event.hh"
 
 namespace icicle
@@ -51,100 +55,30 @@ struct RocketConfig
  * The Rocket core timing model. Construct with a Program, then call
  * run() (or tick() manually, e.g. under a tracer).
  */
-class RocketCore final : public Core
+class RocketCore final : public CoreShell<RocketCore, false>
 {
   public:
     RocketCore(const RocketConfig &config, const Program &program);
-
-    /** Advance one clock cycle. */
-    void tick() override;
-
-    /** Has the program halted and the pipeline drained? */
-    bool done() const override;
-
-    /**
-     * Run until done (or max_cycles). Returns cycles simulated.
-     * @param on_cycle optional per-cycle hook (tracer attach point),
-     * called after each tick with the live event bus.
-     */
-    u64 run(u64 max_cycles = ~0ull,
-            const std::function<void(Cycle, const EventBus &)> &on_cycle =
-                nullptr) override;
-
-    /**
-     * Batch tick loop with a statically-dispatched per-cycle hook:
-     * the class is final, so tick() devirtualizes and the hook
-     * inlines — no per-cycle virtual or std::function dispatch.
-     * run() and the Session/tracer paths route through this.
-     */
-    template <typename F>
-    u64
-    runLoop(u64 max_cycles, F &&on_cycle)
-    {
-        u64 simulated = 0;
-        while (!halted && simulated < max_cycles) {
-            tick();
-            on_cycle(now - 1, events);
-            simulated++;
-        }
-        return simulated;
-    }
-
-    Cycle cycle() const override { return now; }
-    const EventBus &bus() const override { return events; }
-    CsrFile &csrFile() override { return csrs; }
-    Executor &executor() override { return exec; }
-    MemHierarchy &memory() { return mem; }
 
     CoreKind kind() const override { return CoreKind::Rocket; }
     u32 coreWidth() const override { return 1; }
     u32 issueWidth() const override { return 1; }
     const char *name() const override { return "Rocket"; }
 
-    /** Exact host-side event totals (sum of source bits per cycle). */
-    u64 total(EventId id) const override
-    { return totals[static_cast<u32>(id)]; }
-    u64 laneTotal(EventId id, u32 lane) const override
-    { return lane == 0 ? total(id) : 0; }
-
     const RocketConfig &config() const { return cfg; }
 
   private:
+    friend class CoreShell<RocketCore, false>;
+
+    /** One cycle of the pipeline: backend, then frontend. */
+    void tickStages();
     void tickFrontend();
     void tickBackend();
-    /** Fetch-time prediction for a control-flow instruction. */
-    void predictControlFlow(PipeUop &entry);
     void raiseRetireClassEvents(const Retired &ret);
 
     RocketConfig cfg;
-    Executor exec;
-    MemHierarchy mem;
-    Bht bht;
-    Btb btb;
-    Ras ras;
-    EventBus events;
-    CsrFile csrs;
-    std::array<u64, kNumEvents> totals{};
-
-    Cycle now = 0;
-
-    // ---- frontend state ----
+    FetchStream<Bht> frontend;
     UopRing ibuf;
-    /** Oracle stream lookahead: next correct-path instruction. */
-    bool streamValid = false;
-    Retired streamHead;
-    bool streamDone = false;
-    /** Fetching down the wrong path until the mispredict resolves. */
-    bool wrongPathMode = false;
-    Addr wrongPathPc = 0;
-    /** I-cache refill completes at this cycle. */
-    Cycle icacheReadyAt = 0;
-    /** Block address of the last fetched instruction. */
-    u64 lastFetchBlock = ~0ull;
-    /** Recovering: no valid fetch packet delivered since last flush. */
-    bool recovering = false;
-    /** Cycles the frontend must wait after a redirect. */
-    u32 redirectWait = 0;
 
     // ---- backend state ----
     /** Cycle at which each architectural register's value is ready. */
@@ -161,7 +95,6 @@ class RocketCore final : public Core
     bool resolveTargetMispredict = false;
     /** CSR/fence serialization: issue stalls until this cycle. */
     Cycle serializeUntil = 0;
-    bool halted = false;
 };
 
 } // namespace icicle

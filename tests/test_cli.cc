@@ -443,12 +443,25 @@ TEST(CliProve, UsageErrorsExitTwo)
     EXPECT_EQ(run(std::string(ICICLE_PROVE_BIN) +
                   " trace /nonexistent/x.icst"),
               2);
+    EXPECT_EQ(run(std::string(ICICLE_PROVE_BIN) +
+                  " trace --live --arch bogus"),
+              2);
 #ifndef ICICLE_MUTANTS
     // Without the mutant build the suite must refuse, not vacuously
     // pass: a CI misconfiguration that drops -DICICLE_MUTANTS=ON
     // would otherwise look green.
     EXPECT_EQ(run(std::string(ICICLE_PROVE_BIN) + " mutants"), 2);
 #endif
+}
+
+TEST(CliProve, ArchNamesMatchSweep)
+{
+    // --arch goes through the sweep's parser, so the add-wires alias
+    // icicle-sweep and icicled accept works here too.
+    EXPECT_EQ(run(std::string(ICICLE_PROVE_BIN) +
+                  " trace --live --arch add-wires --core rocket"
+                  " --workload vvadd --cycles 5000"),
+              0);
 }
 
 } // namespace

@@ -21,7 +21,6 @@
 
 #include <cstdio>
 #include <cstring>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -32,53 +31,29 @@
 #include "common/logging.hh"
 #include "core/session.hh"
 #include "isa/builder.hh"
+#include "sweep/sweep.hh"
 
 using namespace icicle;
 
 namespace
 {
 
+/** A core config (sweepCoreNames()) under one counter architecture. */
 struct NamedConfig
 {
     std::string name;
-    std::function<std::unique_ptr<Core>(const Program &)> build;
+    std::string core;
+    CounterArch arch;
 };
 
 std::vector<NamedConfig>
 allConfigs()
 {
     std::vector<NamedConfig> configs;
-    const std::pair<CounterArch, const char *> arches[] = {
-        {CounterArch::Scalar, "scalar"},
-        {CounterArch::AddWires, "addwires"},
-        {CounterArch::Distributed, "distributed"},
-    };
-
-    for (const auto &[arch, arch_name] : arches) {
-        configs.push_back(
-            {std::string("rocket-") + arch_name,
-             [arch](const Program &program) {
-                 RocketConfig config;
-                 config.counterArch = arch;
-                 return std::make_unique<RocketCore>(config, program);
-             }});
-    }
-
-    const std::pair<BoomConfig, const char *> sizes[] = {
-        {BoomConfig::small(), "small"},   {BoomConfig::medium(), "medium"},
-        {BoomConfig::large(), "large"},   {BoomConfig::mega(), "mega"},
-        {BoomConfig::giga(), "giga"},
-    };
-    for (const auto &[size, size_name] : sizes) {
-        for (const auto &[arch, arch_name] : arches) {
-            BoomConfig config = size;
-            config.counterArch = arch;
-            configs.push_back(
-                {std::string("boom-") + size_name + "-" + arch_name,
-                 [config](const Program &program) {
-                     return std::make_unique<BoomCore>(config, program);
-                 }});
-        }
+    for (const std::string &core : sweepCoreNames()) {
+        for (const char *arch : {"scalar", "addwires", "distributed"})
+            configs.push_back({core + "-" + arch, core,
+                               parseCounterArch(arch)});
     }
     return configs;
 }
@@ -98,7 +73,8 @@ lintConfig(const NamedConfig &config, const Program &program)
     // Construct without the fail-fast gate: the lint *is* the check
     // and we want the full report, not the first fatal().
     ScopedLintDisable no_gate;
-    std::unique_ptr<Core> core = config.build(program);
+    std::unique_ptr<Core> core =
+        makeSweepCore(config.core, config.arch, program);
 
     LintReport report = lintCore(*core);
 
